@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "cdn/traffic_router.h"
-#include "core/parallel.h"
+#include "core/campaign.h"
 #include "dns/stub.h"
 #include "ran/profiles.h"
 #include "util/args.h"
@@ -136,17 +136,8 @@ struct Spec {
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_ablation_cdns_scope: A3 C-DNS scope ablation");
-  args.add_int("seed", 99,
-               "campaign seed; each configuration runs with "
-               "split_mix64(seed ^ row_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(args, {.seed = 99});
+  if (!campaign.parse(argc, argv)) return 2;
 
   std::vector<Spec> specs;
   specs.push_back(
@@ -163,24 +154,19 @@ int main(int argc, char** argv) {
 
   // Each row is one campaign job with a private simulator and derived seed,
   // so no row's answer mix depends on the rows before it.
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
+  std::vector<std::string> names;
+  for (const Spec& spec : specs) names.push_back(spec.label);
   const auto outcomes = campaign.run<Outcome>(
-      specs.size(), [&](std::size_t index) {
+      names, [&](std::size_t index, core::JobArtifacts&) {
         const Spec& spec = specs[index];
         return run(spec.groups, 4, spec.mislocate, spec.use_coverage,
-                   core::job_seed(campaign_seed, index));
+                   campaign.job_seed(index));
       });
 
   std::printf("=== A3: C-DNS scope — edge coverage zone vs global GeoIP ===\n");
   std::printf("%-44s %10s %10s\n", "configuration", "accuracy", "mean(ms)");
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: %s failed: %s\n", specs[i].label.c_str(),
-                   outcomes[i].error.c_str());
-      return 1;
-    }
+    if (!outcomes[i].ok) continue;
     const Outcome& outcome = outcomes[i].value;
     std::printf("%-44s %9.0f%% %10.2f\n", specs[i].label.c_str(),
                 100 * outcome.accuracy, outcome.mean_ms);
@@ -189,5 +175,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: the edge-scoped router is always correct; global "
       "GeoIP routing degrades\nwith database error, mis-routing clients to "
       "distant cache groups\n");
-  return 0;
+  return campaign.exit_code();
 }

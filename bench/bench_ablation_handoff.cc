@@ -10,9 +10,9 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/campaign.h"
 #include "core/experiment.h"
 #include "core/mec_cdn.h"
-#include "core/parallel.h"
 #include "ran/handoff.h"
 #include "ran/profiles.h"
 #include "ran/segment.h"
@@ -144,31 +144,14 @@ HandoffResult run_world(bool retarget, std::uint64_t seed) {
 int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_ablation_handoff: A4 DNS re-targeting on cellular handoff");
-  args.add_int("seed", 11,
-               "campaign seed; each world runs with "
-               "split_mix64(seed ^ row_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
+  core::Campaign campaign(args, {.seed = 11});
+  if (!campaign.parse(argc, argv)) return 2;
   const auto outcomes = campaign.run<HandoffResult>(
-      2, [&](std::size_t index) {
-        return run_world(index == 0, core::job_seed(campaign_seed, index));
+      {"re-target world", "sticky world"},
+      [&](std::size_t index, core::JobArtifacts&) {
+        return run_world(index == 0, campaign.job_seed(index));
       });
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: world %zu failed: %s\n", i,
-                   outcomes[i].error.c_str());
-      return 1;
-    }
-  }
+  if (campaign.exit_code() != 0) return 1;
 
   std::printf("=== A4: DNS re-target on handoff vs sticky L-DNS ===\n");
   std::printf("%-40s %10s %14s\n", "phase", "mean(ms)", "local answers");

@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "util/args.h"
 
 using namespace mecdns;
@@ -97,36 +97,27 @@ Run run_at(double qps, std::size_t threshold, std::uint64_t seed) {
 int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_ablation_ingress_fallback: A2 overload fallback ablation");
-  args.add_int("seed", 42,
-               "campaign seed; each run gets split_mix64(seed ^ row_index), "
-               "rows numbered across both sweeps");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
-
+  core::Campaign campaign(args, {});
+  if (!campaign.parse(argc, argv)) return 2;
   constexpr std::size_t kThreshold = 50;  // queries/second
   const std::vector<double> loads = {5.0, 20.0, 40.0, 80.0, 160.0, 320.0};
+  std::vector<std::string> load_names;
+  for (const double load : loads) {
+    load_names.push_back("load " + std::to_string(static_cast<int>(load)) +
+                         "/s");
+  }
   const auto load_outcomes = campaign.run<Run>(
-      loads.size(), [&](std::size_t index) {
-        return run_at(loads[index], kThreshold,
-                      core::job_seed(campaign_seed, index));
+      load_names, [&](std::size_t index, core::JobArtifacts&) {
+        return run_at(loads[index], kThreshold, campaign.job_seed(index));
       });
   // The hysteresis rows continue the same row numbering so no two runs in
   // the bench share a derived seed.
   const std::vector<std::size_t> windows = {0, 2};
   const auto storm_outcomes = campaign.run<HysteresisRun>(
-      windows.size(), [&](std::size_t index) {
-        return run_storm_then_calm(
-            windows[index],
-            core::job_seed(campaign_seed, loads.size() + index));
+      {"stateless storm", "hysteresis(2) storm"},
+      [&](std::size_t index, core::JobArtifacts&) {
+        return run_storm_then_calm(windows[index],
+                                   campaign.job_seed(loads.size() + index));
       });
 
   std::printf(
@@ -135,13 +126,9 @@ int main(int argc, char** argv) {
       kThreshold);
   std::printf("%8s %10s %12s %10s %10s\n", "load", "mean(ms)", "MEC-answers",
               "failures", "shed@MEC");
-  for (std::size_t i = 0; i < load_outcomes.size(); ++i) {
-    if (!load_outcomes[i].ok) {
-      std::fprintf(stderr, "error: load %.0f/s failed: %s\n", loads[i],
-                   load_outcomes[i].error.c_str());
-      return 1;
-    }
-    const Run& run = load_outcomes[i].value;
+  for (const auto& outcome : load_outcomes) {
+    if (!outcome.ok) continue;
+    const Run& run = outcome.value;
     std::printf("%6.0f/s %10.1f %11.0f%% %10zu %10llu\n", run.qps,
                 run.mean_ms, 100.0 * run.mec_share, run.failures,
                 static_cast<unsigned long long>(run.shed));
@@ -157,11 +144,7 @@ int main(int argc, char** argv) {
   std::printf("%16s %11s %10s %8s %7s %11s %9s\n", "guard", "storm-MEC",
               "calm-MEC", "shed", "trips", "recoveries", "failures");
   for (std::size_t i = 0; i < storm_outcomes.size(); ++i) {
-    if (!storm_outcomes[i].ok) {
-      std::fprintf(stderr, "error: hysteresis(%zu) failed: %s\n", windows[i],
-                   storm_outcomes[i].error.c_str());
-      return 1;
-    }
+    if (!storm_outcomes[i].ok) continue;
     const HysteresisRun& run = storm_outcomes[i].value;
     char label[32];
     if (windows[i] == 0) {
@@ -183,5 +166,5 @@ int main(int argc, char** argv) {
       "per-query flapping) and re-admits only after the ingress stays\n"
       "quiet for recovery_windows monitor windows — calm traffic lands on "
       "the MEC again.\nFailures stay zero in every configuration.\n");
-  return 0;
+  return campaign.exit_code();
 }

@@ -8,10 +8,11 @@
 // utilization and then the queue melts down — the regime the overload
 // guard is designed to cut off.
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "util/args.h"
 
 using namespace mecdns;
@@ -52,24 +53,16 @@ LoadPoint run(double qps, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_ablation_load: A7 MEC L-DNS saturation sweep");
-  args.add_int("seed", 42,
-               "campaign seed; each load point runs with "
-               "split_mix64(seed ^ row_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(args, {});
+  if (!campaign.parse(argc, argv)) return 2;
   const std::vector<double> loads = {50.0, 150.0, 300.0, 400.0, 500.0, 800.0};
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
+  std::vector<std::string> names;
+  for (const double load : loads) {
+    names.push_back("load " + std::to_string(static_cast<int>(load)) + "/s");
+  }
   const auto outcomes = campaign.run<LoadPoint>(
-      loads.size(), [&](std::size_t index) {
-        return run(loads[index], core::job_seed(campaign_seed, index));
+      names, [&](std::size_t index, core::JobArtifacts&) {
+        return run(loads[index], campaign.job_seed(index));
       });
 
   std::printf(
@@ -77,13 +70,9 @@ int main(int argc, char** argv) {
       "capacity) ===\n");
   std::printf("%10s %10s %10s %10s %10s\n", "offered", "mean(ms)", "p99(ms)",
               "answered", "dropped");
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: load %.0f/s failed: %s\n", loads[i],
-                   outcomes[i].error.c_str());
-      return 1;
-    }
-    const LoadPoint& point = outcomes[i].value;
+  for (const auto& outcome : outcomes) {
+    if (!outcome.ok) continue;
+    const LoadPoint& point = outcome.value;
     std::printf("%8.0f/s %10.1f %10.1f %10zu %10llu\n", point.offered_qps,
                 point.mean_ms, point.p99_ms, point.answered,
                 static_cast<unsigned long long>(point.dropped));
@@ -93,5 +82,5 @@ int main(int argc, char** argv) {
       "near capacity, and queue\noverflow drops beyond it — quantifying why "
       "the orchestrator must shed load above a threshold\nrather than let "
       "the MEC DNS queue unboundedly.\n");
-  return 0;
+  return campaign.exit_code();
 }

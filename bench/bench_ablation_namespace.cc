@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "util/args.h"
 
 using namespace mecdns;
@@ -58,17 +58,8 @@ double run(const Spec& spec, std::uint64_t seed) {
 int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_ablation_namespace: A1 split-namespace L-DNS ablation");
-  args.add_int("seed", 42,
-               "campaign seed; each path runs with "
-               "split_mix64(seed ^ row_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(args, {});
+  if (!campaign.parse(argc, argv)) return 2;
 
   const std::vector<Spec> specs = {
       {"MEC domain via MEC L-DNS", true, false, false},
@@ -78,23 +69,18 @@ int main(int argc, char** argv) {
       {"web domain, multicast both", false, false, true},
       {"MEC domain, multicast both", true, false, true},
   };
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
+  std::vector<std::string> names;
+  for (const Spec& spec : specs) names.push_back(spec.label);
   const auto outcomes = campaign.run<double>(
-      specs.size(), [&](std::size_t index) {
-        return run(specs[index], core::job_seed(campaign_seed, index));
+      names, [&](std::size_t index, core::JobArtifacts&) {
+        return run(specs[index], campaign.job_seed(index));
       });
+  if (campaign.exit_code() != 0) return 1;
 
   std::printf("=== A1: split-namespace MEC L-DNS vs provider L-DNS ===\n");
   std::printf("%-34s %10s\n", "path", "mean(ms)");
   std::vector<double> means;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: %s failed: %s\n", specs[i].label.c_str(),
-                   outcomes[i].error.c_str());
-      return 1;
-    }
     means.push_back(outcomes[i].value);
     std::printf("%-34s %10.1f\n", specs[i].label.c_str(), outcomes[i].value);
   }

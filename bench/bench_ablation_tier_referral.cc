@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "util/args.h"
 
 using namespace mecdns;
@@ -70,31 +70,14 @@ PathStats run_path(bool edge_content, std::uint64_t seed) {
 int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_ablation_tier_referral: A5 multi-tier miss referral");
-  args.add_int("seed", 42,
-               "campaign seed; each path runs with "
-               "split_mix64(seed ^ row_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
+  core::Campaign campaign(args, {});
+  if (!campaign.parse(argc, argv)) return 2;
   const auto outcomes = campaign.run<PathStats>(
-      2, [&](std::size_t index) {
-        return run_path(index == 0, core::job_seed(campaign_seed, index));
+      {"edge path", "referred path"},
+      [&](std::size_t index, core::JobArtifacts&) {
+        return run_path(index == 0, campaign.job_seed(index));
       });
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: path %zu failed: %s\n", i,
-                   outcomes[i].error.c_str());
-      return 1;
-    }
-  }
+  if (campaign.exit_code() != 0) return 1;
   const PathStats& edge = outcomes[0].value;
   const PathStats& referred = outcomes[1].value;
 

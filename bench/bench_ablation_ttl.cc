@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "util/args.h"
 
 using namespace mecdns;
@@ -65,35 +65,23 @@ TtlOutcome run(std::uint32_t ttl, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_ablation_ttl: A6 C-DNS answer TTL sweep");
-  args.add_int("seed", 42,
-               "campaign seed; each TTL point runs with "
-               "split_mix64(seed ^ row_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(args, {});
+  if (!campaign.parse(argc, argv)) return 2;
   const std::vector<std::uint32_t> ttls = {0u, 2u, 10u, 60u, 300u};
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
+  std::vector<std::string> names;
+  for (const std::uint32_t ttl : ttls) {
+    names.push_back("ttl=" + std::to_string(ttl));
+  }
   const auto outcomes = campaign.run<TtlOutcome>(
-      ttls.size(), [&](std::size_t index) {
-        return run(ttls[index], core::job_seed(campaign_seed, index));
+      names, [&](std::size_t index, core::JobArtifacts&) {
+        return run(ttls[index], campaign.job_seed(index));
       });
 
   std::printf("=== A6: C-DNS answer TTL sweep (1 query/s, drain mid-run) ===\n");
   std::printf("%8s %10s %12s %14s\n", "ttl(s)", "mean(ms)", "L-DNS hits",
               "stale answers");
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: ttl=%u failed: %s\n", ttls[i],
-                   outcomes[i].error.c_str());
-      return 1;
-    }
+    if (!outcomes[i].ok) continue;
     const TtlOutcome& outcome = outcomes[i].value;
     std::printf("%8u %10.1f %11.0f%% %13.0f%%\n", ttls[i], outcome.mean_ms,
                 100.0 * outcome.cache_hit_rate, 100.0 * outcome.stale_share);
@@ -104,5 +92,5 @@ int main(int argc, char** argv) {
       "at a drained cache — the per-query-routing trade the paper's\n"
       "testbed resolves in favour of TTL~0, which is cheap when the C-DNS "
       "is one fabric hop away.\n");
-  return 0;
+  return campaign.exit_code();
 }

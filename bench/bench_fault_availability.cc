@@ -28,9 +28,9 @@
 #include "cdn/content.h"
 #include "cdn/traffic_monitor.h"
 #include "chaos/controller.h"
+#include "core/campaign.h"
 #include "core/fault_scenarios.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "mec/failover.h"
 #include "obs/incident.h"
 #include "obs/journal.h"
@@ -89,31 +89,17 @@ simnet::Endpoint provider_endpoint() {
                           dns::kDnsPort};
 }
 
-/// "series.json" + "node-down/robust" -> "series.node-down.robust.json".
-std::string with_slug(const std::string& path, std::string name) {
-  for (char& c : name) {
-    if (c == '/') c = '.';
-  }
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
-/// One (scenario, mode) campaign job: the availability numbers plus the
-/// serialized time series (written to disk by the caller, in job order).
+/// One (scenario, mode) campaign job: the availability numbers plus its
+/// BENCH_incidents row; the series and journal go into `artifacts`.
 struct JobResult {
   RunResult r;
-  std::string series_json;
-  std::string series_name;
-  std::string journal_json;    ///< flight-recorder dump, when requested
   std::string incidents_json;  ///< one BENCH_incidents scenario row
 };
 
 JobResult run_scenario(const std::string& name, bool robust,
                        std::uint64_t seed, const Knobs& k, bool want_series,
-                       bool want_incidents, double slo_target) {
+                       bool want_incidents, double slo_target,
+                       core::JobArtifacts& artifacts) {
   core::Fig5Testbed::Config config;
   // The WAN-loss scenario only bites when lookups cross the WAN, so it
   // runs the "MEC L-DNS w/ WAN C-DNS" deployment; everything else runs the
@@ -322,16 +308,13 @@ JobResult run_scenario(const std::string& name, bool robust,
   if (want_incidents) {
     obs::append_slo_journal(result.slo, journal);
     const obs::IncidentReport report = obs::correlate_incidents(journal);
-    job.journal_json = journal.to_json();
+    artifacts.journal_json = journal.to_json();
     job.incidents_json = "{\"scenario\": \"" + name + "\", \"mode\": \"" +
                          (robust ? "robust" : "fragile") + "\", " +
                          obs::incident_report_json(report) + "}";
   }
   job.r = std::move(result);
-  if (want_series) {
-    job.series_json = timeseries.to_json();
-    job.series_name = run_name;
-  }
+  if (want_series) artifacts.timeseries_json = timeseries.to_json();
   return job;
 }
 
@@ -341,47 +324,32 @@ int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_fault_availability: availability under injected faults, "
       "fragile vs robust");
-  args.add_string("json-out", "BENCH_fault_availability.json",
-                  "write per-(scenario,mode) summaries as JSON ('' disables)");
   args.add_string("scenario", "all",
                   "one scenario name, or 'all' for the whole catalog");
   args.add_int("requests", 110, "resolve-and-fetch requests per run");
   args.add_int("spacing-ms", 500, "gap between requests");
   args.add_int("fault-start-ms", 15000, "fault window start");
   args.add_int("fault-end-ms", 30000, "fault window end (restart/heal time)");
-  args.add_int("seed", 42, "testbed RNG seed");
-  args.add_string("timeseries-out", "",
-                  "per-run windowed-metrics JSON with chaos annotations "
-                  "(scenario/mode slug is inserted before the extension)");
-  args.add_string("journal-out", "",
-                  "per-run flight-recorder journal JSON (scenario/mode slug "
-                  "is inserted before the extension; '' disables)");
-  args.add_string("incidents-out", "",
-                  "correlated incident forensics (BENCH_incidents.json "
-                  "shape: MTTD/MTTR per scenario; '' disables)");
   args.add_double("slo-target", 0.99,
                   "per-window fetch success ratio the SLO requires");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
   args.add_string("scaling-out", "",
                   "also run the whole matrix once per worker count in "
                   "--scaling-workers, timing each, and write the speedup "
                   "record as JSON ('' disables)");
   args.add_string("scaling-workers", "1,2,4,8",
                   "comma-separated worker counts for --scaling-out");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(
+      args, {.json_out = "BENCH_fault_availability.json",
+             .flags = core::kTimeSeriesOut | core::kJournalOut |
+                      core::kIncidentsOut});
+  if (!campaign.parse(argc, argv)) return 2;
 
   Knobs knobs;
   knobs.requests = static_cast<std::size_t>(args.get_int("requests"));
   knobs.spacing = simnet::SimTime::millis(args.get_int("spacing-ms"));
   knobs.fault_start = simnet::SimTime::millis(args.get_int("fault-start-ms"));
   knobs.fault_end = simnet::SimTime::millis(args.get_int("fault-end-ms"));
-  knobs.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  knobs.seed = campaign.seed();
 
   std::vector<std::string> scenarios;
   const std::string pick = args.get_string("scenario");
@@ -419,97 +387,70 @@ int main(int argc, char** argv) {
     jobs.push_back(JobSpec{scenarios[si], si, false});
     jobs.push_back(JobSpec{scenarios[si], si, true});
   }
-  const bool want_series = !args.get_string("timeseries-out").empty();
-  const bool want_journal = !args.get_string("journal-out").empty();
+  std::vector<std::string> names;
+  for (const JobSpec& job : jobs) {
+    names.push_back(job.scenario + (job.robust ? "/robust" : "/fragile"));
+  }
   const bool want_incidents =
-      want_journal || !args.get_string("incidents-out").empty();
+      campaign.on(core::kJournalOut) || campaign.on(core::kIncidentsOut);
   const double slo_target = args.get_double("slo-target");
-  const auto run_matrix = [&](std::size_t workers) {
-    const core::ParallelCampaign campaign(workers);
-    return campaign.run<JobResult>(jobs.size(), [&](std::size_t index) {
-      const JobSpec& spec = jobs[index];
-      return run_scenario(spec.scenario, spec.robust,
-                          core::job_seed(knobs.seed, spec.scenario_index),
-                          knobs, want_series, want_incidents, slo_target);
-    });
+  const auto run_job = [&](std::size_t index, bool want_series,
+                           core::JobArtifacts& artifacts) {
+    const JobSpec& spec = jobs[index];
+    return run_scenario(spec.scenario, spec.robust,
+                        campaign.job_seed(spec.scenario_index), knobs,
+                        want_series, want_incidents, slo_target, artifacts);
   };
-
-  const auto outcomes =
-      run_matrix(core::resolve_workers(args.get_int("workers")));
+  const auto outcomes = campaign.run<JobResult>(
+      names, [&](std::size_t index, core::JobArtifacts& artifacts) {
+        return run_job(index, campaign.on(core::kTimeSeriesOut), artifacts);
+      });
 
   std::vector<Row> rows;
   std::vector<std::string> incident_rows;
-  bool write_failed = false;
   for (std::size_t index = 0; index < outcomes.size(); ++index) {
+    if (!outcomes[index].ok) continue;
     const JobSpec& spec = jobs[index];
     const bool robust = spec.robust;
     const std::string& scenario = spec.scenario;
-    if (!outcomes[index].ok) {
-      std::fprintf(stderr, "error: %s/%s failed: %s\n", scenario.c_str(),
-                   robust ? "robust" : "fragile",
-                   outcomes[index].error.c_str());
-      write_failed = true;
-      continue;
-    }
     const JobResult& job = outcomes[index].value;
-    if (want_series && !job.series_json.empty()) {
-      const std::string path =
-          with_slug(args.get_string("timeseries-out"), job.series_name);
-      if (!obs::write_text_file(path, job.series_json)) {
-        std::fprintf(stderr, "error: failed to write timeseries to %s\n",
-                     path.c_str());
-        write_failed = true;
-      }
-    }
-    if (want_journal && !job.journal_json.empty()) {
-      const std::string path =
-          with_slug(args.get_string("journal-out"),
-                    scenario + "/" + (robust ? "robust" : "fragile"));
-      if (!obs::write_text_file(path, job.journal_json)) {
-        std::fprintf(stderr, "error: failed to write journal to %s\n",
-                     path.c_str());
-        write_failed = true;
-      }
-    }
     if (!job.incidents_json.empty()) {
       incident_rows.push_back(job.incidents_json);
     }
-    {
-      const RunResult& r = job.r;
-      std::string notes;
-      if (r.ue_failovers > 0) {
-        notes += "ue-failovers=" + std::to_string(r.ue_failovers) + " ";
-      }
-      if (r.forward_failovers > 0) {
-        notes += "fwd-failovers=" + std::to_string(r.forward_failovers) + " ";
-      }
-      if (r.stale_served > 0) {
-        notes += "stale=" + std::to_string(r.stale_served) + " ";
-      }
-      if (r.fetch_retries > 0) {
-        notes += "fetch-retries=" + std::to_string(r.fetch_retries) + " ";
-      }
-      if (r.ldns_switches > 0) {
-        notes += "ldns-switches=" + std::to_string(r.ldns_switches) + " ";
-      }
-      if (r.monitor_transitions > 0) {
-        notes += "drains=" + std::to_string(r.monitor_transitions);
-      }
-      char recover[32];
-      if (r.time_to_recover_ms < 0.0) {
-        std::snprintf(recover, sizeof(recover), "%11s", "never");
-      } else {
-        std::snprintf(recover, sizeof(recover), "%11.0f",
-                      r.time_to_recover_ms);
-      }
-      std::printf("%-22s %-8s %4zu/%-3zu %8.1f%% %9.1f %9.1f %s %s\n",
-                  scenario.c_str(), robust ? "robust" : "fragile", r.ok,
-                  r.requests, 100.0 * r.success_rate, r.latency.p50,
-                  r.latency.p99, recover, notes.c_str());
-      std::printf("%-22s %-8s   %s\n", "", "",
-                  obs::slo_summary(r.slo).c_str());
-      rows.push_back(Row{scenario, robust ? "robust" : "fragile", r});
+    const RunResult& r = job.r;
+    std::string notes;
+    if (r.ue_failovers > 0) {
+      notes += "ue-failovers=" + std::to_string(r.ue_failovers) + " ";
     }
+    if (r.forward_failovers > 0) {
+      notes += "fwd-failovers=" + std::to_string(r.forward_failovers) + " ";
+    }
+    if (r.stale_served > 0) {
+      notes += "stale=" + std::to_string(r.stale_served) + " ";
+    }
+    if (r.fetch_retries > 0) {
+      notes += "fetch-retries=" + std::to_string(r.fetch_retries) + " ";
+    }
+    if (r.ldns_switches > 0) {
+      notes += "ldns-switches=" + std::to_string(r.ldns_switches) + " ";
+    }
+    if (r.monitor_transitions > 0) {
+      notes += "drains=" + std::to_string(r.monitor_transitions);
+    }
+    char recover[32];
+    if (r.time_to_recover_ms < 0.0) {
+      std::snprintf(recover, sizeof(recover), "%11s", "never");
+    } else {
+      std::snprintf(recover, sizeof(recover), "%11.0f",
+                    r.time_to_recover_ms);
+    }
+    std::printf("%-22s %-8s %4zu/%-3zu %8.1f%% %9.1f %9.1f %s %s\n",
+                scenario.c_str(), robust ? "robust" : "fragile", r.ok,
+                r.requests, 100.0 * r.success_rate, r.latency.p50,
+                r.latency.p99, recover, notes.c_str());
+    std::printf("%-22s %-8s   %s\n", "", "",
+                obs::slo_summary(r.slo).c_str());
+    rows.push_back(Row{scenario, robust ? "robust" : "fragile", r});
   }
 
   // Serializer shared by --json-out and the --scaling-out identity check:
@@ -572,18 +513,13 @@ int main(int argc, char** argv) {
     return out;
   };
 
-  const std::string json_out = args.get_string("json-out");
-  if (!json_out.empty()) {
-    if (!obs::write_text_file(json_out, matrix_json(rows))) {
-      std::fprintf(stderr, "failed to open %s\n", json_out.c_str());
-      return 1;
-    }
+  const std::string& json_out = campaign.json_out();
+  if (!json_out.empty() && campaign.write(json_out, matrix_json(rows))) {
     std::fprintf(stderr, "wrote %zu runs to %s\n", rows.size(),
                  json_out.c_str());
   }
 
-  const std::string incidents_out = args.get_string("incidents-out");
-  if (!incidents_out.empty()) {
+  if (campaign.on(core::kIncidentsOut)) {
     std::string out = "{\n  \"bench\": \"fault_incidents\",\n  " +
                       obs::provenance_json("fault_incidents", knobs.seed) +
                       ",\n  \"scenarios\": [\n";
@@ -592,12 +528,11 @@ int main(int argc, char** argv) {
       out += i + 1 < incident_rows.size() ? ",\n" : "\n";
     }
     out += "  ]\n}\n";
-    if (!obs::write_text_file(incidents_out, out)) {
-      std::fprintf(stderr, "failed to open %s\n", incidents_out.c_str());
-      return 1;
+    const std::string& incidents_out = campaign.path(core::kIncidentsOut);
+    if (campaign.write(incidents_out, out)) {
+      std::fprintf(stderr, "wrote %zu incident rows to %s\n",
+                   incident_rows.size(), incidents_out.c_str());
     }
-    std::fprintf(stderr, "wrote %zu incident rows to %s\n",
-                 incident_rows.size(), incidents_out.c_str());
   }
 
   // --scaling-out: re-run the identical matrix once per worker count,
@@ -606,13 +541,14 @@ int main(int argc, char** argv) {
   // (speedup saturates at min(jobs, cores)); the `identical` bits are the
   // determinism contract and must always be true.
   const std::string scaling_out = args.get_string("scaling-out");
+  bool identical = true;
   if (!scaling_out.empty()) {
     std::vector<std::size_t> counts;
-    const std::string spec = args.get_string("scaling-workers");
-    for (std::size_t pos = 0; pos < spec.size();) {
-      const std::size_t comma = spec.find(',', pos);
+    const std::string list = args.get_string("scaling-workers");
+    for (std::size_t pos = 0; pos < list.size();) {
+      const std::size_t comma = list.find(',', pos);
       const std::string item =
-          spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
+          list.substr(pos, comma == std::string::npos ? comma : comma - pos);
       if (!item.empty()) {
         const long n = std::atol(item.c_str());
         if (n >= 1) counts.push_back(static_cast<std::size_t>(n));
@@ -633,7 +569,12 @@ int main(int argc, char** argv) {
                 "identical");
     for (const std::size_t n : counts) {
       const auto t0 = std::chrono::steady_clock::now();
-      const auto rerun = run_matrix(n);
+      // Rows only: the artifacts above are already written.
+      const auto rerun = core::ParallelCampaign(n).run<JobResult>(
+          jobs.size(), [&](std::size_t index) {
+            core::JobArtifacts discarded;
+            return run_job(index, false, discarded);
+          });
       const auto t1 = std::chrono::steady_clock::now();
       std::vector<Row> rerun_rows;
       for (std::size_t index = 0; index < rerun.size(); ++index) {
@@ -647,7 +588,7 @@ int main(int argc, char** argv) {
       p.wall_ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
       p.identical = matrix_json(rerun_rows) == reference;
-      if (!p.identical) write_failed = true;
+      identical = identical && p.identical;
       points.push_back(p);
       const double speedup =
           points.front().wall_ms > 0.0 ? points.front().wall_ms / p.wall_ms
@@ -678,12 +619,10 @@ int main(int argc, char** argv) {
       out += buf;
     }
     out += "  ]\n}\n";
-    if (!obs::write_text_file(scaling_out, out)) {
-      std::fprintf(stderr, "failed to open %s\n", scaling_out.c_str());
-      return 1;
+    if (campaign.write(scaling_out, out)) {
+      std::fprintf(stderr, "wrote %zu scaling points to %s\n",
+                   points.size(), scaling_out.c_str());
     }
-    std::fprintf(stderr, "wrote %zu scaling points to %s\n", points.size(),
-                 scaling_out.c_str());
   }
-  return write_failed ? 1 : 0;
+  return identical ? campaign.exit_code() : 1;
 }

@@ -19,12 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.h"
+#include "core/campaign.h"
 #include "core/study.h"
-#include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "util/args.h"
 #include "util/strings.h"
 
@@ -47,46 +44,16 @@ std::string cell_slug(const std::string& website,
   return out + "." + network_class;
 }
 
-/// "trace.json" + "airbnb.wired-campus" -> "trace.airbnb.wired-campus.json".
-std::string with_slug(const std::string& path, const std::string& name) {
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_fig2: Figure 2 DNS lookup latency bars");
-  args.add_string("json-out", "BENCH_fig2.json",
-                  "write per-bar summaries as JSON ('' disables)");
-  args.add_string("trace-out", "",
-                  "per-cell Chrome trace-event JSON (cell slug is inserted "
-                  "before the extension)");
-  args.add_string("metrics-out", "",
-                  "write counters/gauges/histograms as JSON (merged across "
-                  "cells)");
-  args.add_string("timeseries-out", "",
-                  "per-cell windowed-metrics JSON (cell slug is inserted "
-                  "before the extension)");
-  args.add_double("timeseries-window-ms", 500.0,
-                  "sim-time window width for --timeseries-out");
-  args.add_int("seed", 7,
-               "campaign seed; each (site, network) cell runs with "
-               "split_mix64(seed ^ cell_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
-  const bool want_trace = !args.get_string("trace-out").empty();
-  const bool want_metrics = !args.get_string("metrics-out").empty();
-  const bool want_series = !args.get_string("timeseries-out").empty();
+  core::Campaign campaign(
+      args, {.seed = 7,
+             .json_out = "BENCH_fig2.json",
+             .flags = core::kTraceOut | core::kMetricsOut |
+                      core::kTimeSeriesOut | core::kTimeSeriesWindow});
+  if (!campaign.parse(argc, argv)) return 2;
 
   std::printf("=== Table 1: tested CDN domain names ===\n");
   for (const auto& entry : workload::table1_domains()) {
@@ -95,42 +62,27 @@ int main(int argc, char** argv) {
   }
 
   // One job per (site, network) cell: a private study, observers and RNG.
-  // Artifacts are serialized in-job; writes, merges and printing happen
-  // below on this thread in cell order.
-  struct JobOutput {
-    core::MeasurementStudy::CellResult cell;
-    std::string trace_json;
-    std::string timeseries_json;
-    obs::Registry metrics;
-  };
   const auto& profiles = workload::figure3_profiles();
   const auto& classes = workload::network_classes();
-  const std::size_t cell_count = profiles.size() * classes.size();
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
-  const auto outcomes = campaign.run<JobOutput>(
-      cell_count, [&](std::size_t index) {
+  std::vector<std::string> names;
+  for (const auto& profile : profiles) {
+    for (const std::string& network_class : classes) {
+      names.push_back(cell_slug(profile.website, network_class));
+    }
+  }
+  const auto outcomes = campaign.run<core::MeasurementStudy::CellResult>(
+      names, [&](std::size_t index, core::JobArtifacts& artifacts) {
         core::MeasurementStudy::Config config;
         config.queries_per_cell = 40;
-        config.seed = core::job_seed(campaign_seed, index);
+        config.seed = campaign.job_seed(index);
         core::MeasurementStudy study(config);
-        obs::TraceSink trace(study.network().simulator());
-        obs::Registry metrics;
-        obs::TimeSeries timeseries(
-            study.network().simulator(),
-            simnet::SimTime::millis(args.get_double("timeseries-window-ms")));
-        study.set_observers(want_trace ? &trace : nullptr,
-                            want_metrics ? &metrics : nullptr);
-        study.set_timeseries(want_series ? &timeseries : nullptr);
-
-        JobOutput out;
-        out.cell = study.run_cell(index / classes.size(),
-                                  classes[index % classes.size()]);
-        if (want_trace) out.trace_json = trace.to_chrome_trace();
-        if (want_series) out.timeseries_json = timeseries.to_json();
-        if (want_metrics) out.metrics = std::move(metrics);
-        return out;
+        core::JobSinks sinks(campaign, study.network().simulator());
+        study.set_observers(sinks.trace(), sinks.metrics());
+        study.set_timeseries(sinks.timeseries());
+        auto cell = study.run_cell(index / classes.size(),
+                                   classes[index % classes.size()]);
+        sinks.collect(artifacts);
+        return cell;
       });
 
   std::printf("\n=== Figure 2: DNS lookup latency (ms) ===\n");
@@ -144,37 +96,10 @@ int main(int argc, char** argv) {
   };
   std::vector<Bar> bars;
   double scale = 0.0;
-  obs::Registry combined;
   double wired_mean = 0.0;
-  for (std::size_t index = 0; index < outcomes.size(); ++index) {
-    const auto& outcome = outcomes[index];
-    if (!outcome.ok) {
-      std::fprintf(stderr, "error: cell %zu failed: %s\n", index,
-                   outcome.error.c_str());
-      return 1;
-    }
-    const JobOutput& out = outcome.value;
-    const auto& cell = out.cell;
-    const std::string slug = cell_slug(cell.website, cell.network_class);
-    if (want_trace) {
-      const std::string path = with_slug(args.get_string("trace-out"), slug);
-      if (!obs::write_text_file(path, out.trace_json)) {
-        std::fprintf(stderr, "error: failed to write trace to %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    if (want_series) {
-      const std::string path =
-          with_slug(args.get_string("timeseries-out"), slug);
-      if (!obs::write_text_file(path, out.timeseries_json)) {
-        std::fprintf(stderr, "error: failed to write timeseries to %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    if (want_metrics) combined.merge(out.metrics);
-
+  for (const auto& outcome : outcomes) {
+    if (!outcome.ok) continue;
+    const auto& cell = outcome.value;
     std::printf("%-14s %-18s %10.1f %8.1f %8.1f %8zu\n", cell.website.c_str(),
                 cell.network_class.c_str(), cell.trimmed.mean,
                 cell.trimmed.min, cell.trimmed.max,
@@ -202,37 +127,31 @@ int main(int argc, char** argv) {
       "\nexpected shape (paper): cellular-mobile bars are the tallest and "
       "most variable in every group\n");
 
-  const std::string json_out = args.get_string("json-out");
+  const std::string& json_out = campaign.json_out();
   if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "failed to open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig2_lookup_latency\",\n  %s,\n"
-                 "  \"unit\": \"ms\",\n  \"scenarios\": [\n",
-                 obs::provenance_json("fig2_lookup_latency", campaign_seed).c_str());
+    std::string body =
+        "{\n  \"bench\": \"fig2_lookup_latency\",\n  " +
+        obs::provenance_json("fig2_lookup_latency", campaign.seed()) +
+        ",\n  \"unit\": \"ms\",\n  \"scenarios\": [\n";
+    char buf[512];
     for (std::size_t i = 0; i < bars.size(); ++i) {
       const Bar& bar = bars[i];
       const util::Summary& s = bar.trimmed;
-      std::fprintf(
-          f,
+      std::snprintf(
+          buf, sizeof(buf),
           "    {\"scenario\": \"%s/%s\", \"count\": %zu, \"mean\": %.3f, "
           "\"stddev\": %.3f, \"min\": %.3f, \"max\": %.3f, \"p50\": %.3f, "
           "\"p90\": %.3f, \"p99\": %.3f}%s\n",
           bar.website.c_str(), bar.network.c_str(), s.count, s.mean, s.stddev,
           s.min, s.max, s.p50, s.p90, s.p99,
           i + 1 < bars.size() ? "," : "");
+      body += buf;
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %zu scenarios to %s\n", bars.size(),
-                 json_out.c_str());
+    body += "  ]\n}\n";
+    if (campaign.write(json_out, body)) {
+      std::fprintf(stderr, "wrote %zu scenarios to %s\n", bars.size(),
+                   json_out.c_str());
+    }
   }
-  if (want_metrics && !combined.write_json(args.get_string("metrics-out"))) {
-    std::fprintf(stderr, "error: failed to write metrics to %s\n",
-                 args.get_string("metrics-out").c_str());
-    return 1;
-  }
-  return 0;
+  return campaign.exit_code();
 }

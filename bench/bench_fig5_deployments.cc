@@ -15,89 +15,23 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "core/roles.h"
-#include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "util/args.h"
 #include "util/strings.h"
 
 using namespace mecdns;
 
-namespace {
-
-/// Filename-safe deployment slug (matches the testbed's --deployment names).
-std::string slug(core::Fig5Deployment deployment) {
-  switch (deployment) {
-    case core::Fig5Deployment::kMecLdnsMecCdns: return "mec-mec";
-    case core::Fig5Deployment::kMecLdnsLanCdns: return "mec-lan";
-    case core::Fig5Deployment::kMecLdnsWanCdns: return "mec-wan";
-    case core::Fig5Deployment::kProviderLdns: return "provider";
-    case core::Fig5Deployment::kGoogleDns: return "google";
-    case core::Fig5Deployment::kCloudflareDns: return "cloudflare";
-  }
-  return "unknown";
-}
-
-/// "trace.json" + "mec-mec" -> "trace.mec-mec.json". Each deployment runs
-/// its own simulator, so each gets its own trace file.
-std::string with_slug(const std::string& path, const std::string& name) {
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
-/// Copies `src` into `dst` with every metric name prefixed by "<name>.",
-/// so one combined file can hold all six deployments side by side.
-void merge_prefixed(obs::Registry& dst, const std::string& name,
-                    const obs::Registry& src) {
-  for (const auto& [key, value] : src.counters()) {
-    dst.add(name + "." + key, value);
-  }
-  for (const auto& [key, value] : src.gauges()) {
-    dst.set_gauge(name + "." + key, value);
-  }
-  for (const auto& [key, histogram] : src.histograms()) {
-    dst.histogram(name + "." + key).merge(histogram);
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::ArgParser args("bench_fig5: Figure 5 deployment latency bars");
-  args.add_string("json-out", "BENCH_fig5.json",
-                  "write per-deployment summaries as JSON ('' disables)");
-  args.add_string("trace-out", "",
-                  "per-deployment Chrome trace-event JSON (deployment slug "
-                  "is inserted before the extension)");
-  args.add_string("metrics-out", "",
-                  "combined metrics JSON, names prefixed per deployment");
-  args.add_string("timeseries-out", "",
-                  "per-deployment windowed-metrics JSON (deployment slug is "
-                  "inserted before the extension)");
-  args.add_double("timeseries-window-ms", 500.0,
-                  "sim-time window width for --timeseries-out");
-  args.add_int("seed", 42,
-               "campaign seed; each deployment runs with "
-               "split_mix64(seed ^ deployment_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
-  const bool want_trace = !args.get_string("trace-out").empty();
-  const bool want_metrics = !args.get_string("metrics-out").empty();
-  const bool want_series = !args.get_string("timeseries-out").empty();
-  obs::Registry combined;
+  core::Campaign campaign(
+      args, {.json_out = "BENCH_fig5.json",
+             .flags = core::kTraceOut | core::kMetricsOut |
+                      core::kTimeSeriesOut | core::kTimeSeriesWindow,
+             .prefix_metrics = true});
+  if (!campaign.parse(argc, argv)) return 2;
 
   std::printf("=== Table 2: entities and roles in MEC CDN ===\n");
   for (const auto& role : core::ecosystem_roles()) {
@@ -117,44 +51,28 @@ int main(int argc, char** argv) {
   };
   // Each deployment is one campaign job: a private testbed (simulator,
   // network, RNG, observers), seeded independently of every other job.
-  // Artifacts are serialized inside the job; all file writes, merges and
-  // printing happen below in job-index order, so the bench's entire output
-  // is byte-identical for any --workers value.
-  struct JobOutput {
-    Row row;
-    std::string trace_json;
-    std::string timeseries_json;
-    obs::Registry metrics;
-  };
   const auto& deployments = core::all_fig5_deployments();
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
-  const auto outcomes = campaign.run<JobOutput>(
-      deployments.size(), [&](std::size_t index) {
+  std::vector<std::string> names;
+  for (const auto deployment : deployments) {
+    names.push_back(core::fig5_slug(deployment));
+  }
+  const auto outcomes = campaign.run<Row>(
+      names, [&](std::size_t index, core::JobArtifacts& artifacts) {
         const auto deployment = deployments[index];
         core::Fig5Testbed::Config config;
         config.deployment = deployment;
-        config.seed = core::job_seed(campaign_seed, index);
+        config.seed = campaign.job_seed(index);
         core::Fig5Testbed testbed(config);
-        obs::TraceSink trace(testbed.network().simulator());
-        obs::Registry metrics;
-        obs::TimeSeries timeseries(
-            testbed.simulator(),
-            simnet::SimTime::millis(args.get_double("timeseries-window-ms")));
-        testbed.set_observers(want_trace ? &trace : nullptr,
-                              want_metrics ? &metrics : nullptr);
-        testbed.set_timeseries(want_series ? &timeseries : nullptr);
+        core::JobSinks sinks(campaign, testbed.simulator());
+        testbed.set_observers(sinks.trace(), sinks.metrics());
+        testbed.set_timeseries(sinks.timeseries());
         const core::SeriesResult result = testbed.measure(50);
-
-        JobOutput out;
-        if (want_trace) out.trace_json = trace.to_chrome_trace();
-        if (want_series) out.timeseries_json = timeseries.to_json();
-        if (want_metrics) {
-          testbed.export_metrics(metrics);
-          out.metrics = std::move(metrics);
+        if (sinks.metrics() != nullptr) {
+          testbed.export_metrics(*sinks.metrics());
         }
-        Row& row = out.row;
+        sinks.collect(artifacts);
+
+        Row row;
         row.deployment = deployment;
         row.summary = result.totals().summarize();
         row.wireless = result.wireless().mean();
@@ -171,48 +89,20 @@ int main(int argc, char** argv) {
           row.answers = util::fmt_fixed(100.0 * mec_share, 0) + "% MEC / " +
                         util::fmt_fixed(100.0 * cloud_share, 0) + "% cloud";
         }
-        return out;
+        return row;
       });
 
   std::vector<Row> rows;
   double mec_mean = 0.0;
   double worst_mean = 0.0;
-  for (std::size_t index = 0; index < outcomes.size(); ++index) {
-    const auto& outcome = outcomes[index];
-    const auto deployment = deployments[index];
-    if (!outcome.ok) {
-      std::fprintf(stderr, "error: deployment %s failed: %s\n",
-                   slug(deployment).c_str(), outcome.error.c_str());
-      return 1;
-    }
-    const JobOutput& out = outcome.value;
-    if (want_trace) {
-      const std::string path =
-          with_slug(args.get_string("trace-out"), slug(deployment));
-      if (!obs::write_text_file(path, out.trace_json)) {
-        std::fprintf(stderr, "error: failed to write trace to %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    if (want_series) {
-      const std::string path =
-          with_slug(args.get_string("timeseries-out"), slug(deployment));
-      if (!obs::write_text_file(path, out.timeseries_json)) {
-        std::fprintf(stderr, "error: failed to write timeseries to %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    if (want_metrics) {
-      merge_prefixed(combined, slug(deployment), out.metrics);
-    }
-    const Row& row = out.row;
+  for (const auto& outcome : outcomes) {
+    if (!outcome.ok) continue;
+    const Row& row = outcome.value;
     std::printf("%-24s %10.1f %12.1f %12.1f %8.1f %8.1f %s\n",
-                core::to_string(deployment).c_str(), row.summary.mean,
+                core::to_string(row.deployment).c_str(), row.summary.mean,
                 row.wireless, row.beyond, row.summary.min, row.summary.max,
                 row.answers.c_str());
-    if (deployment == core::Fig5Deployment::kMecLdnsMecCdns) {
+    if (row.deployment == core::Fig5Deployment::kMecLdnsMecCdns) {
       mec_mean = row.summary.mean;
     }
     if (row.summary.mean > worst_mean) worst_mean = row.summary.mean;
@@ -250,38 +140,32 @@ int main(int argc, char** argv) {
       "paper reference means (ms): 29.4 / 34.8 / 60.9 / 114.6 / 112.5 / "
       "285.7\n");
 
-  const std::string json_out = args.get_string("json-out");
+  const std::string& json_out = campaign.json_out();
   if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "failed to open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig5_deployments\",\n  %s,\n"
-                 "  \"unit\": \"ms\",\n  \"scenarios\": [\n",
-                 obs::provenance_json("fig5_deployments", campaign_seed).c_str());
+    std::string body =
+        "{\n  \"bench\": \"fig5_deployments\",\n  " +
+        obs::provenance_json("fig5_deployments", campaign.seed()) +
+        ",\n  \"unit\": \"ms\",\n  \"scenarios\": [\n";
+    char buf[640];
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       const util::Summary& s = row.summary;
-      std::fprintf(
-          f,
+      std::snprintf(
+          buf, sizeof(buf),
           "    {\"scenario\": \"%s\", \"count\": %zu, \"mean\": %.3f, "
           "\"stddev\": %.3f, \"min\": %.3f, \"max\": %.3f, \"p50\": %.3f, "
           "\"p90\": %.3f, \"p99\": %.3f, \"wireless_ms\": %.3f, "
           "\"beyond_pgw_ms\": %.3f, \"answers\": \"%s\"}%s\n",
-          slug(row.deployment).c_str(), s.count, s.mean, s.stddev, s.min,
-          s.max, s.p50, s.p90, s.p99, row.wireless, row.beyond,
+          core::fig5_slug(row.deployment).c_str(), s.count, s.mean, s.stddev,
+          s.min, s.max, s.p50, s.p90, s.p99, row.wireless, row.beyond,
           row.answers.c_str(), i + 1 < rows.size() ? "," : "");
+      body += buf;
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %zu scenarios to %s\n", rows.size(),
-                 json_out.c_str());
+    body += "  ]\n}\n";
+    if (campaign.write(json_out, body)) {
+      std::fprintf(stderr, "wrote %zu scenarios to %s\n", rows.size(),
+                   json_out.c_str());
+    }
   }
-  if (want_metrics && !combined.write_json(args.get_string("metrics-out"))) {
-    std::fprintf(stderr, "error: failed to write metrics to %s\n",
-                 args.get_string("metrics-out").c_str());
-    return 1;
-  }
-  return 0;
+  return campaign.exit_code();
 }

@@ -29,27 +29,14 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/mobility.h"
-#include "core/parallel.h"
-#include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "util/args.h"
 
 using namespace mecdns;
 
 namespace {
-
-/// "series.json" + "flash-crowd/robust" -> "series.flash-crowd.robust.json".
-std::string with_slug(const std::string& path, std::string name) {
-  for (char& c : name) {
-    if (c == '/') c = '.';
-  }
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
 
 std::string matrix_json(const std::vector<core::MobilityRunResult>& rows,
                         const core::MobilityKnobs& knobs,
@@ -87,8 +74,6 @@ int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_mobility_churn: handoff storms and flash crowds over K MEC "
       "cells, fragile vs robust, graded as SLO verdicts");
-  args.add_string("json-out", "BENCH_mobility.json",
-                  "write the (scenario,mode) matrix as JSON ('' disables)");
   args.add_string("scenario", "all",
                   "commute-wave | flash-crowd | handoff-storm | all");
   args.add_int("ues", 600, "logical UE population");
@@ -110,19 +95,6 @@ int main(int argc, char** argv) {
   args.add_int("max-replicas", 4, "robust: auto-scaler replica ceiling");
   args.add_double("slo-target", 0.99,
                   "per-window fetch success ratio the SLO requires");
-  args.add_int("seed", 42, "campaign seed (per-scenario seeds derive)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); output is byte-identical for any value");
-  args.add_string("timeseries-out", "",
-                  "per-run windowed-metrics JSON with phase annotations "
-                  "(scenario/mode slug is inserted before the extension)");
-  args.add_string("journal-out", "",
-                  "per-run flight-recorder journal JSON (scenario/mode slug "
-                  "is inserted before the extension; '' disables)");
-  args.add_string("incidents-out", "",
-                  "correlated incident forensics (BENCH_incidents.json "
-                  "shape: MTTD/MTTR per scenario; '' disables)");
   args.add_bool("gate", false,
                 "CI verdict: exit nonzero unless robust meets the SLO on "
                 "every scenario AND fragile violates it on at least one");
@@ -130,11 +102,11 @@ int main(int argc, char** argv) {
                 "run the robust rows with the client-side fallback "
                 "forgotten (still labelled robust); a working --gate must "
                 "fail this");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(
+      args, {.json_out = "BENCH_mobility.json",
+             .flags = core::kTimeSeriesOut | core::kJournalOut |
+                      core::kIncidentsOut});
+  if (!campaign.parse(argc, argv)) return 2;
 
   core::MobilityKnobs knobs;
   knobs.ues = static_cast<std::uint32_t>(args.get_int("ues"));
@@ -154,7 +126,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("cache-capacity"));
   knobs.max_replicas = static_cast<std::size_t>(args.get_int("max-replicas"));
   knobs.slo_target = args.get_double("slo-target");
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  const std::uint64_t seed = campaign.seed();
 
   std::vector<workload::MobilityScenario> scenarios;
   const std::string pick = args.get_string("scenario");
@@ -183,10 +155,14 @@ int main(int argc, char** argv) {
     jobs.push_back(JobSpec{scenarios[si], si, core::MobilityMode::kFragile});
     jobs.push_back(JobSpec{scenarios[si], si, hardened_mode});
   }
-  const bool want_series = !args.get_string("timeseries-out").empty();
-  const bool want_journal = !args.get_string("journal-out").empty();
+  std::vector<std::string> names;
+  for (const JobSpec& job : jobs) {
+    names.push_back(std::string(workload::mobility_slug(job.scenario)) + "/" +
+                    core::mobility_mode_label(job.mode));
+  }
+  const bool want_series = campaign.on(core::kTimeSeriesOut);
   const bool want_incidents =
-      want_journal || !args.get_string("incidents-out").empty();
+      campaign.on(core::kJournalOut) || campaign.on(core::kIncidentsOut);
 
   std::printf("=== Mobility churn: %u UEs x %.1f Hz over %u cells, "
               "event [%lld, %lld) s ===\n",
@@ -194,58 +170,30 @@ int main(int argc, char** argv) {
               static_cast<long long>(knobs.event_start.to_seconds()),
               static_cast<long long>(knobs.event_end.to_seconds()));
 
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
   const auto outcomes = campaign.run<core::MobilityRunResult>(
-      jobs.size(), [&](std::size_t index) {
-        const JobSpec& spec = jobs[index];
-        return core::run_mobility_job(
-            spec.scenario, spec.mode,
-            core::job_seed(seed, spec.scenario_index), knobs, want_series,
-            want_incidents);
+      names, [&](std::size_t index, core::JobArtifacts& artifacts) {
+        const JobSpec& job = jobs[index];
+        core::MobilityRunResult r = core::run_mobility_job(
+            job.scenario, job.mode, campaign.job_seed(job.scenario_index),
+            knobs, want_series, want_incidents);
+        artifacts.timeseries_json = std::move(r.series_json);
+        artifacts.journal_json = std::move(r.journal_json);
+        return r;
       });
 
   std::printf("%-14s %-8s %10s %9s %9s %9s %8s %8s %s\n", "scenario", "mode",
               "ok/issued", "success", "p50(ms)", "p99(ms)", "shed",
               "handoffs", "notes");
   std::vector<core::MobilityRunResult> rows;
-  bool write_failed = false;
   bool robust_all_ok = true;
   bool fragile_any_violation = false;
   for (std::size_t index = 0; index < outcomes.size(); ++index) {
-    const JobSpec& spec = jobs[index];
-    if (!outcomes[index].ok) {
-      std::fprintf(stderr, "error: %s/%s failed: %s\n",
-                   workload::mobility_slug(spec.scenario),
-                   core::mobility_mode_label(spec.mode),
-                   outcomes[index].error.c_str());
-      write_failed = true;
-      continue;
-    }
+    if (!outcomes[index].ok) continue;
     const core::MobilityRunResult& r = outcomes[index].value;
-    if (spec.mode == core::MobilityMode::kFragile) {
+    if (jobs[index].mode == core::MobilityMode::kFragile) {
       fragile_any_violation = fragile_any_violation || !r.slo.ok;
     } else {
       robust_all_ok = robust_all_ok && r.slo.ok;
-    }
-    if (want_series && !r.series_json.empty()) {
-      const std::string path =
-          with_slug(args.get_string("timeseries-out"),
-                    r.scenario + "/" + r.mode);
-      if (!obs::write_text_file(path, r.series_json)) {
-        std::fprintf(stderr, "error: failed to write timeseries to %s\n",
-                     path.c_str());
-        write_failed = true;
-      }
-    }
-    if (want_journal && !r.journal_json.empty()) {
-      const std::string path = with_slug(args.get_string("journal-out"),
-                                         r.scenario + "/" + r.mode);
-      if (!obs::write_text_file(path, r.journal_json)) {
-        std::fprintf(stderr, "error: failed to write journal to %s\n",
-                     path.c_str());
-        write_failed = true;
-      }
     }
     std::string notes;
     if (r.ue_failovers > 0) {
@@ -277,18 +225,14 @@ int main(int argc, char** argv) {
     rows.push_back(r);
   }
 
-  const std::string json_out = args.get_string("json-out");
-  if (!json_out.empty()) {
-    if (!obs::write_text_file(json_out, matrix_json(rows, knobs, seed))) {
-      std::fprintf(stderr, "failed to open %s\n", json_out.c_str());
-      return 1;
-    }
+  const std::string& json_out = campaign.json_out();
+  if (!json_out.empty() &&
+      campaign.write(json_out, matrix_json(rows, knobs, seed))) {
     std::fprintf(stderr, "wrote %zu runs to %s\n", rows.size(),
                  json_out.c_str());
   }
 
-  const std::string incidents_out = args.get_string("incidents-out");
-  if (!incidents_out.empty()) {
+  if (campaign.on(core::kIncidentsOut)) {
     std::string out = "{\n  \"bench\": \"mobility_incidents\",\n  " +
                       obs::provenance_json("mobility_incidents", seed) +
                       ",\n  \"scenarios\": [\n";
@@ -299,12 +243,11 @@ int main(int argc, char** argv) {
       out += "    " + r.incidents_json;
     }
     out += "\n  ]\n}\n";
-    if (!obs::write_text_file(incidents_out, out)) {
-      std::fprintf(stderr, "failed to open %s\n", incidents_out.c_str());
-      return 1;
+    const std::string& incidents_out = campaign.path(core::kIncidentsOut);
+    if (campaign.write(incidents_out, out)) {
+      std::fprintf(stderr, "wrote %zu incident rows to %s\n", emitted,
+                   incidents_out.c_str());
     }
-    std::fprintf(stderr, "wrote %zu incident rows to %s\n", emitted,
-                 incidents_out.c_str());
   }
 
   if (args.get_bool("gate")) {
@@ -318,5 +261,5 @@ int main(int argc, char** argv) {
                 fragile_any_violation ? "exhausted" : "NEVER exhausted");
     if (!pass) return 1;
   }
-  return write_failed ? 1 : 0;
+  return campaign.exit_code();
 }

@@ -19,31 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/throughput.h"
-#include "obs/metrics.h"
 #include "obs/perf.h"
 #include "util/args.h"
 #include "util/strings.h"
 
 using namespace mecdns;
-
-namespace {
-
-/// Copies `src` into `dst` with every metric name prefixed by "<name>.".
-void merge_prefixed(obs::Registry& dst, const std::string& name,
-                    const obs::Registry& src) {
-  for (const auto& [key, value] : src.counters()) {
-    dst.add(name + "." + key, value);
-  }
-  for (const auto& [key, value] : src.gauges()) {
-    dst.set_gauge(name + "." + key, value);
-  }
-  for (const auto& [key, histogram] : src.histograms()) {
-    dst.histogram(name + "." + key).merge(histogram);
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::ArgParser args(
@@ -62,28 +44,15 @@ int main(int argc, char** argv) {
   args.add_double("think-s", 1.0, "closed-loop mean think time, seconds");
   args.add_int("warmup-queries", 5,
                "cache-priming queries before the measured window");
-  args.add_int("seed", 42,
-               "campaign seed; each deployment runs with "
-               "split_mix64(seed ^ deployment_index)");
-  args.add_int("workers", 0,
-               "parallel campaign workers (0 = hardware concurrency, "
-               "1 = serial); --json-out is byte-identical for any value");
   args.add_bool("journal", false,
                 "attach a flight-recorder journal to every hot-path "
                 "component (steady-state records nothing; used to verify "
                 "the allocs/query ceiling with journaling armed)");
-  args.add_string("json-out", "BENCH_throughput.json",
-                  "deterministic summary JSON ('' disables)");
-  args.add_string("wall-out", "",
-                  "wall-clock throughput JSON (machine-dependent; "
-                  "'' disables)");
-  args.add_string("metrics-out", "",
-                  "combined metrics JSON, names prefixed per deployment");
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(
+      args, {.json_out = "BENCH_throughput.json",
+             .flags = core::kMetricsOut | core::kWallOut,
+             .prefix_metrics = true});
+  if (!campaign.parse(argc, argv)) return 2;
 
   core::ThroughputConfig config;
   const std::string spec = args.get_string("deployments");
@@ -113,8 +82,7 @@ int main(int argc, char** argv) {
   config.think_s = args.get_double("think-s");
   config.warmup_queries =
       static_cast<std::size_t>(args.get_int("warmup-queries"));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  config.workers = core::resolve_workers(args.get_int("workers"));
+  config.seed = campaign.seed();
   config.journal = args.get_bool("journal");
 
   if (!obs::alloc_counting_active()) {
@@ -123,23 +91,19 @@ int main(int argc, char** argv) {
                  "will be absent from the output\n");
   }
 
-  const auto outcomes = core::run_throughput(config);
-
+  std::vector<std::string> names;
+  for (const core::Fig5Deployment deployment : config.deployments) {
+    names.push_back(core::fig5_slug(deployment));
+  }
+  const auto outcomes = campaign.run<core::ThroughputResult>(
+      names, [&config](std::size_t index, core::JobArtifacts& artifacts) {
+        core::ThroughputOutput out = core::run_throughput_job(config, index);
+        artifacts.metrics = std::move(out.metrics);
+        return out.result;
+      });
   std::vector<core::ThroughputResult> rows;
-  obs::Registry combined;
-  const bool want_metrics = !args.get_string("metrics-out").empty();
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      std::fprintf(stderr, "error: deployment %s failed: %s\n",
-                   core::fig5_slug(config.deployments[i]).c_str(),
-                   outcomes[i].error.c_str());
-      return 1;
-    }
-    rows.push_back(outcomes[i].value.result);
-    if (want_metrics) {
-      merge_prefixed(combined, rows.back().scenario,
-                     outcomes[i].value.metrics);
-    }
+  for (const auto& outcome : outcomes) {
+    if (outcome.ok) rows.push_back(outcome.value);
   }
 
   std::printf("=== throughput: %u UEs x %s qps, %s s window ===\n",
@@ -161,31 +125,16 @@ int main(int argc, char** argv) {
                 r.p50_ms, r.p99_ms, r.qps_wall);
   }
 
-  const std::string json_out = args.get_string("json-out");
-  if (!json_out.empty()) {
-    if (!obs::write_text_file(json_out,
-                              core::throughput_json(rows, config.seed))) {
-      std::fprintf(stderr, "error: failed to write %s\n", json_out.c_str());
-      return 1;
-    }
+  const std::string& json_out = campaign.json_out();
+  if (!json_out.empty() &&
+      campaign.write(json_out, core::throughput_json(rows, config.seed))) {
     std::fprintf(stderr, "wrote %zu scenarios to %s\n", rows.size(),
                  json_out.c_str());
   }
-  const std::string wall_out = args.get_string("wall-out");
-  if (!wall_out.empty()) {
-    if (!obs::write_text_file(
-            wall_out, core::throughput_wall_json(rows, config.workers,
-                                                 config.seed))) {
-      std::fprintf(stderr, "error: failed to write %s\n", wall_out.c_str());
-      return 1;
-    }
+  if (campaign.on(core::kWallOut)) {
+    campaign.write(campaign.path(core::kWallOut),
+                   core::throughput_wall_json(rows, campaign.workers(),
+                                              config.seed));
   }
-  if (want_metrics) {
-    if (!combined.write_json(args.get_string("metrics-out"))) {
-      std::fprintf(stderr, "error: failed to write %s\n",
-                   args.get_string("metrics-out").c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return campaign.exit_code();
 }

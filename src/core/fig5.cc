@@ -31,6 +31,28 @@ const std::vector<Fig5Deployment>& all_fig5_deployments() {
   return kAll;
 }
 
+std::string fig5_slug(Fig5Deployment deployment) {
+  switch (deployment) {
+    case Fig5Deployment::kMecLdnsMecCdns: return "mec-mec";
+    case Fig5Deployment::kMecLdnsLanCdns: return "mec-lan";
+    case Fig5Deployment::kMecLdnsWanCdns: return "mec-wan";
+    case Fig5Deployment::kProviderLdns: return "provider";
+    case Fig5Deployment::kGoogleDns: return "google";
+    case Fig5Deployment::kCloudflareDns: return "cloudflare";
+  }
+  return "unknown";
+}
+
+bool fig5_from_slug(const std::string& slug, Fig5Deployment& out) {
+  for (Fig5Deployment d : all_fig5_deployments()) {
+    if (fig5_slug(d) == slug) {
+      out = d;
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 constexpr const char* kEdgeGroup = "mec-edge";
 constexpr const char* kCloudGroup = "cloud";

@@ -49,6 +49,14 @@ std::string to_string(Fig5Deployment deployment);
 /// All six, in the figure's order.
 const std::vector<Fig5Deployment>& all_fig5_deployments();
 
+/// Filename-safe deployment slug ("mec-mec", "provider", ...): the names
+/// every --deployment(s) flag accepts and every per-deployment artifact
+/// carries.
+std::string fig5_slug(Fig5Deployment deployment);
+
+/// Parses a slug back; false if unknown.
+bool fig5_from_slug(const std::string& slug, Fig5Deployment& out);
+
 class Fig5Testbed {
  public:
   struct Config {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "core/parallel.h"
 #include "dns/stub.h"
 #include "obs/journal.h"
 #include "obs/perf.h"
@@ -9,28 +10,6 @@
 #include "workload/loadgen.h"
 
 namespace mecdns::core {
-
-std::string fig5_slug(Fig5Deployment deployment) {
-  switch (deployment) {
-    case Fig5Deployment::kMecLdnsMecCdns: return "mec-mec";
-    case Fig5Deployment::kMecLdnsLanCdns: return "mec-lan";
-    case Fig5Deployment::kMecLdnsWanCdns: return "mec-wan";
-    case Fig5Deployment::kProviderLdns: return "provider";
-    case Fig5Deployment::kGoogleDns: return "google";
-    case Fig5Deployment::kCloudflareDns: return "cloudflare";
-  }
-  return "unknown";
-}
-
-bool fig5_from_slug(const std::string& slug, Fig5Deployment& out) {
-  for (Fig5Deployment d : all_fig5_deployments()) {
-    if (fig5_slug(d) == slug) {
-      out = d;
-      return true;
-    }
-  }
-  return false;
-}
 
 namespace {
 
@@ -192,15 +171,10 @@ void append_scenario(std::string& out, const char* key,
 
 }  // namespace
 
-std::vector<JobOutcome<ThroughputOutput>> run_throughput(
-    const ThroughputConfig& config) {
-  ParallelCampaign campaign(config.workers);
-  const std::vector<Fig5Deployment>& deployments = config.deployments;
-  return campaign.run<ThroughputOutput>(
-      deployments.size(), [&config, &deployments](std::size_t index) {
-        return run_one(config, deployments[index],
-                       job_seed(config.seed, index));
-      });
+ThroughputOutput run_throughput_job(const ThroughputConfig& config,
+                                    std::size_t index) {
+  return run_one(config, config.deployments[index],
+                 job_seed(config.seed, index));
 }
 
 std::string throughput_json(const std::vector<ThroughputResult>& results,

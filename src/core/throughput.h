@@ -26,17 +26,9 @@
 #include <vector>
 
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "obs/metrics.h"
 
 namespace mecdns::core {
-
-/// Filename-safe deployment slug ("mec-mec", "provider", ...) — the same
-/// names the testbed's --deployment flag and the fig5 bench artifacts use.
-std::string fig5_slug(Fig5Deployment deployment);
-
-/// Parses a slug back; false if unknown.
-bool fig5_from_slug(const std::string& slug, Fig5Deployment& out);
 
 struct ThroughputConfig {
   std::vector<Fig5Deployment> deployments;
@@ -47,7 +39,6 @@ struct ThroughputConfig {
   double think_s = 1.0;            ///< closed-loop mean think time
   std::size_t warmup_queries = 5;  ///< dig-style queries priming caches
   std::uint64_t seed = 42;
-  std::size_t workers = 1;
   /// Attach a flight-recorder journal to every hot-path component (UE
   /// transport, L-DNS cache, C-DNS router). Steady-state traffic records
   /// nothing — the flag exists so the allocs/query ceiling can be
@@ -91,10 +82,10 @@ struct ThroughputOutput {
   obs::Registry metrics;
 };
 
-/// Runs every deployment as one campaign job. Outcomes are slot-ordered by
-/// deployment index; a failed job carries its error string.
-std::vector<JobOutcome<ThroughputOutput>> run_throughput(
-    const ThroughputConfig& config);
+/// Runs deployment `index` of `config` on the calling thread, seeded
+/// job_seed(config.seed, index): one campaign job.
+ThroughputOutput run_throughput_job(const ThroughputConfig& config,
+                                    std::size_t index);
 
 /// Deterministic BENCH_throughput.json body (trailing newline included).
 /// `seed` only feeds the provenance meta block.

@@ -2,6 +2,8 @@
 // order as the paper reports, and the breakdown/ECS machinery holds up.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/fig5.h"
 
 namespace mecdns::core {
@@ -68,6 +70,18 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(Fig5SlugTest, RoundTripsEveryDeployment) {
+  for (core::Fig5Deployment d : core::all_fig5_deployments()) {
+    const std::string slug = core::fig5_slug(d);
+    EXPECT_NE(slug, "unknown");
+    core::Fig5Deployment parsed;
+    ASSERT_TRUE(core::fig5_from_slug(slug, parsed)) << slug;
+    EXPECT_EQ(parsed, d);
+  }
+  core::Fig5Deployment parsed;
+  EXPECT_FALSE(core::fig5_from_slug("no-such-deployment", parsed));
+}
 
 TEST(Fig5, PaperOrderingHolds) {
   // The paper's headline: MEC/MEC < MEC/LAN < MEC/WAN < {provider, Google}

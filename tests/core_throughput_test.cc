@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "obs/perf.h"
 
 namespace mecdns {
@@ -24,6 +25,15 @@ core::ThroughputConfig small_config() {
   return config;
 }
 
+// One campaign job per deployment, as bench_throughput runs them.
+std::vector<core::JobOutcome<core::ThroughputOutput>> run_jobs(
+    const core::ThroughputConfig& config, std::size_t workers = 1) {
+  return core::ParallelCampaign(workers).run<core::ThroughputOutput>(
+      config.deployments.size(), [&config](std::size_t index) {
+        return core::run_throughput_job(config, index);
+      });
+}
+
 std::vector<core::ThroughputResult> results_of(
     const std::vector<core::JobOutcome<core::ThroughputOutput>>& outcomes) {
   std::vector<core::ThroughputResult> rows;
@@ -32,18 +42,6 @@ std::vector<core::ThroughputResult> results_of(
     rows.push_back(outcome.value.result);
   }
   return rows;
-}
-
-TEST(Fig5SlugTest, RoundTripsEveryDeployment) {
-  for (core::Fig5Deployment d : core::all_fig5_deployments()) {
-    const std::string slug = core::fig5_slug(d);
-    EXPECT_NE(slug, "unknown");
-    core::Fig5Deployment parsed;
-    ASSERT_TRUE(core::fig5_from_slug(slug, parsed)) << slug;
-    EXPECT_EQ(parsed, d);
-  }
-  core::Fig5Deployment parsed;
-  EXPECT_FALSE(core::fig5_from_slug("no-such-deployment", parsed));
 }
 
 TEST(ThroughputTest, AllocCountingIsActiveInThisBinary) {
@@ -60,7 +58,7 @@ TEST(ThroughputTest, AllocCountingIsActiveInThisBinary) {
 
 TEST(ThroughputTest, LoadRunProducesSaneMetrics) {
   core::ThroughputConfig config = small_config();
-  const auto outcomes = core::run_throughput(config);
+  const auto outcomes = run_jobs(config);
   ASSERT_EQ(outcomes.size(), 2u);
   const auto rows = results_of(outcomes);
 
@@ -97,9 +95,7 @@ TEST(ThroughputTest, ArtifactsAreByteIdenticalAcrossWorkerCounts) {
   std::string json_1worker;
   std::vector<std::string> metrics_1worker;
   for (std::size_t workers : {1u, 2u, 8u}) {
-    core::ThroughputConfig config = small_config();
-    config.workers = workers;
-    const auto outcomes = core::run_throughput(config);
+    const auto outcomes = run_jobs(small_config(), workers);
     ASSERT_EQ(outcomes.size(), 2u);
     const std::string json = core::throughput_json(results_of(outcomes));
     std::vector<std::string> metrics;
@@ -123,7 +119,7 @@ TEST(ThroughputTest, WallJsonCarriesTheMachineDependentSide) {
   core::ThroughputConfig config = small_config();
   config.deployments = {core::Fig5Deployment::kMecLdnsMecCdns};
   config.ues = 500;
-  const auto outcomes = core::run_throughput(config);
+  const auto outcomes = run_jobs(config);
   const auto rows = results_of(outcomes);
   const std::string wall = core::throughput_wall_json(rows, 4);
   EXPECT_NE(wall.find("\"wall_ms\""), std::string::npos);
@@ -138,7 +134,7 @@ TEST(ThroughputTest, ClosedLoopModeRuns) {
   config.ues = 500;
   config.closed_loop = true;
   config.think_s = 0.5;
-  const auto outcomes = core::run_throughput(config);
+  const auto outcomes = run_jobs(config);
   const auto rows = results_of(outcomes);
   EXPECT_GT(rows[0].queries, 0u);
   EXPECT_EQ(rows[0].failures, 0u);

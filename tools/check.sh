@@ -29,7 +29,14 @@
 #      `mecdns_report --incidents`. Every robust incident must grade a
 #      finite MTTD and a bounded MTTR (the awk gate owns finiteness; --diff
 #      owns drift, so an injected MTTR regression must trip it nonzero).
-#   9. Livewire smoke: the epoll/UDP runtime for real. mecdns_livewire
+#   9. Committed baselines: tools/baselines.sh regenerates the fig2/fig5
+#      defaults and the stage 6-8 configurations from the Release build and
+#      compares each against bench/baselines/ — `mecdns_report --diff-bytes`
+#      for the simulation artifacts, `--diff` for throughput (its alloc
+#      gauges depend on the standard library) — so a PR that moves a
+#      deterministic number fails here unless it updates the baseline on
+#      purpose.
+#  10. Livewire smoke: the epoll/UDP runtime for real. mecdns_livewire
 #      serves the MEC zone on an ephemeral 127.0.0.1 port (ASan build), the
 #      probe client resolves a name over the real wire and checks the A
 #      record, and the server's teardown must report sockets_leaked=0.
@@ -41,14 +48,14 @@ jobs="${1:-$(nproc)}"
 
 run() { echo "+ $*"; "$@"; }
 
-echo "=== 1/9: ASan/UBSan build + tests (build-asan/) ==="
+echo "=== 1/10: ASan/UBSan build + tests (build-asan/) ==="
 run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 run cmake --build build-asan -j "$jobs"
 run ctest --test-dir build-asan --output-on-failure -j "$jobs" --timeout 120
 
-echo "=== 2/9: fault-matrix smoke (ASan/UBSan) ==="
+echo "=== 2/10: fault-matrix smoke (ASan/UBSan) ==="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
@@ -59,12 +66,12 @@ for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
       --json-out "$smoke_dir/fault_$scenario.json"
 done
 
-echo "=== 3/9: Release build + tests (build/) ==="
+echo "=== 3/10: Release build + tests (build/) ==="
 run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 run cmake --build build -j "$jobs"
 run ctest --test-dir build --output-on-failure -j "$jobs" --timeout 120
 
-echo "=== 4/9: observability pipeline + determinism self-diff ==="
+echo "=== 4/10: observability pipeline + determinism self-diff ==="
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir"' EXIT
 run ./build/bench/bench_fig2_lookup_latency \
@@ -82,7 +89,7 @@ run ./build/bench/bench_fig2_lookup_latency --json-out "$obs_dir/fig2_b.json"
 run ./build/tools/mecdns_report \
     --diff "$obs_dir/fig2_a.json" --against "$obs_dir/fig2_b.json"
 
-echo "=== 5/9: TSan parallel-campaign determinism gate (build-tsan/) ==="
+echo "=== 5/10: TSan parallel-campaign determinism gate (build-tsan/) ==="
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
@@ -104,7 +111,7 @@ run ./build-tsan/tools/mecdns_report \
     --diff-bytes "$par_dir/metrics_serial.json" \
     --against "$par_dir/metrics_parallel.json"
 
-echo "=== 6/9: perf gate (microbench artifact + throughput regression) ==="
+echo "=== 6/10: perf gate (microbench artifact + throughput regression) ==="
 perf_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir"' EXIT
 # Microbenchmarks as a pipeline artifact (the JSON is a reference record,
@@ -155,7 +162,7 @@ if ./build/tools/mecdns_report --diff "$perf_dir/tp_serial.json" \
 fi
 echo "+ injected regression correctly detected"
 
-echo "=== 7/9: mobility-churn robustness gate ==="
+echo "=== 7/10: mobility-churn robustness gate ==="
 mob_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir" "$mob_dir"' EXIT
 # Downsized population, same overload physics: the flash crowd still
@@ -177,7 +184,7 @@ if $mob --workers 4 --json-out "$mob_dir/mobility_broken.json" \
 fi
 echo "+ mis-configured robust run correctly rejected"
 
-echo "=== 8/9: incident-forensics gate ==="
+echo "=== 8/10: incident-forensics gate ==="
 inc_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir" "$mob_dir" \
     "$inc_dir"' EXIT
@@ -235,7 +242,10 @@ awk '
   END { if (bad) exit 1; print "+ every churn scenario correlated an incident" }' \
   "$inc_dir/mob_inc_serial.json"
 
-echo "=== 9/9: livewire smoke (real UDP over loopback, ASan) ==="
+echo "=== 9/10: committed baselines (bench/baselines/) ==="
+run tools/baselines.sh check build
+
+echo "=== 10/10: livewire smoke (real UDP over loopback, ASan) ==="
 live_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir" "$mob_dir" \
     "$inc_dir" "$live_dir"' EXIT

@@ -10,61 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/fig5.h"
-#include "core/parallel.h"
 #include "core/study.h"
-#include "obs/metrics.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "util/args.h"
 
 using namespace mecdns;
 
 namespace {
-
-/// Writes the collected trace/metrics/timeseries files named by
-/// --trace-out, --metrics-out and --timeseries-out (any may be empty =
-/// disabled). Returns false if any requested file could not be written —
-/// silently dropping telemetry a CI gate depends on is worse than failing.
-bool write_observability(const util::ArgParser& args,
-                         const obs::TraceSink& trace,
-                         const obs::Registry& metrics,
-                         const obs::TimeSeries* timeseries) {
-  bool ok = true;
-  const std::string trace_out = args.get_string("trace-out");
-  if (!trace_out.empty()) {
-    if (trace.write_chrome_trace(trace_out)) {
-      std::fprintf(stderr, "wrote %zu spans to %s (load in chrome://tracing "
-                   "or ui.perfetto.dev)\n", trace.size(), trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: failed to write trace to %s\n",
-                   trace_out.c_str());
-      ok = false;
-    }
-  }
-  const std::string metrics_out = args.get_string("metrics-out");
-  if (!metrics_out.empty()) {
-    if (metrics.write_json(metrics_out)) {
-      std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: failed to write metrics to %s\n",
-                   metrics_out.c_str());
-      ok = false;
-    }
-  }
-  const std::string series_out = args.get_string("timeseries-out");
-  if (!series_out.empty() && timeseries != nullptr) {
-    if (timeseries->write_json(series_out)) {
-      std::fprintf(stderr, "wrote %zu windows to %s\n",
-                   timeseries->windows().size(), series_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: failed to write timeseries to %s\n",
-                   series_out.c_str());
-      ok = false;
-    }
-  }
-  return ok;
-}
 
 /// Applies the --trace-sample* flags to the sink. A rate of 1.0 leaves
 /// sampling off entirely so the span stream is bit-identical to a plain
@@ -81,84 +34,71 @@ void configure_sampling(const util::ArgParser& args, obs::TraceSink& trace) {
   trace.set_sampling(sampling);
 }
 
-/// Filename-safe deployment slug (the same names --deployment accepts).
-std::string deployment_slug(core::Fig5Deployment deployment) {
-  switch (deployment) {
-    case core::Fig5Deployment::kMecLdnsMecCdns: return "mec-mec";
-    case core::Fig5Deployment::kMecLdnsLanCdns: return "mec-lan";
-    case core::Fig5Deployment::kMecLdnsWanCdns: return "mec-wan";
-    case core::Fig5Deployment::kProviderLdns: return "provider";
-    case core::Fig5Deployment::kGoogleDns: return "google";
-    case core::Fig5Deployment::kCloudflareDns: return "cloudflare";
+/// Reads --deployment through the fig5 name table; reports unknown names.
+bool deployment_from_flag(const util::ArgParser& args,
+                          core::Fig5Deployment& out) {
+  const std::string& text = args.get_string("deployment");
+  if (core::fig5_from_slug(text, out)) return true;
+  std::string known;
+  for (const auto deployment : core::all_fig5_deployments()) {
+    known += (known.empty() ? "" : "|") + core::fig5_slug(deployment);
   }
-  return "unknown";
+  std::fprintf(stderr, "unknown deployment '%s' (%s)\n", text.c_str(),
+               known.c_str());
+  return false;
 }
 
-/// "trace.json" + "mec-mec" -> "trace.mec-mec.json".
-std::string with_slug(const std::string& path, const std::string& name) {
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
+/// --experiment fig5. One deployment is a campaign of one job named "",
+/// seeded --seed, whose artifacts keep their paths as given;
+/// --deployment all is the six-deployment sweep, one job per deployment
+/// seeded split_mix64(seed ^ deployment_index), artifacts slugged and
+/// metrics prefixed per deployment (byte-identical for any --workers).
+int run_fig5(const util::ArgParser& args, core::Campaign& campaign) {
+  const bool sweep = args.get_string("deployment") == "all";
+  std::vector<core::Fig5Deployment> deployments;
+  std::vector<std::string> names;
+  if (sweep) {
+    deployments = core::all_fig5_deployments();
+    for (const auto deployment : deployments) {
+      names.push_back(core::fig5_slug(deployment));
+    }
+  } else {
+    core::Fig5Deployment deployment;
+    if (!deployment_from_flag(args, deployment)) return 2;
+    deployments.push_back(deployment);
+    names.emplace_back();
   }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
-/// --experiment fig5 --deployment all: the whole six-deployment sweep as a
-/// parallel campaign — one private testbed per deployment, seeded
-/// split_mix64(seed ^ deployment_index), output merged in deployment order
-/// (byte-identical for any --workers value).
-int run_fig5_sweep(const util::ArgParser& args) {
-  struct JobOutput {
-    std::string summary_lines;  ///< the per-deployment stdout block
-    std::string trace_json;
-    std::string timeseries_json;
-    obs::Registry metrics;
-  };
-  const auto& deployments = core::all_fig5_deployments();
-  const bool want_trace = !args.get_string("trace-out").empty();
-  const bool want_metrics = !args.get_string("metrics-out").empty();
-  const bool want_series = !args.get_string("timeseries-out").empty();
   const bool csv = args.get_bool("csv");
   const auto queries = static_cast<std::size_t>(args.get_int("queries"));
-  const auto campaign_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const core::ParallelCampaign campaign(
-      core::resolve_workers(args.get_int("workers")));
-  const auto outcomes = campaign.run<JobOutput>(
-      deployments.size(), [&](std::size_t index) {
+  const auto outcomes = campaign.run<std::string>(
+      names, [&](std::size_t index, core::JobArtifacts& artifacts) {
         core::Fig5Testbed::Config config;
         config.deployment = deployments[index];
-        config.seed = core::job_seed(campaign_seed, index);
+        config.seed = sweep ? campaign.job_seed(index) : campaign.seed();
         config.enable_ecs = args.get_bool("ecs");
         core::Fig5Testbed testbed(config);
-        obs::TraceSink trace(testbed.network().simulator());
-        obs::Registry metrics;
-        obs::TimeSeries timeseries(
-            testbed.simulator(),
-            simnet::SimTime::millis(
-                args.get_double("timeseries-window-ms")));
-        if (want_trace) configure_sampling(args, trace);
-        testbed.set_observers(want_trace ? &trace : nullptr,
-                              want_metrics ? &metrics : nullptr);
-        testbed.set_timeseries(want_series ? &timeseries : nullptr);
+        core::JobSinks sinks(campaign, testbed.simulator());
+        if (sinks.trace() != nullptr) configure_sampling(args, *sinks.trace());
+        testbed.set_observers(sinks.trace(), sinks.metrics());
+        testbed.set_timeseries(sinks.timeseries());
         const core::SeriesResult result = testbed.measure(queries);
-
-        JobOutput out;
-        if (want_trace) out.trace_json = trace.to_chrome_trace();
-        if (want_series) out.timeseries_json = timeseries.to_json();
-        if (want_metrics) {
-          testbed.export_metrics(metrics);
-          out.metrics = std::move(metrics);
+        if (sinks.metrics() != nullptr) {
+          testbed.export_metrics(*sinks.metrics());
         }
+        sinks.collect(artifacts);
+
+        // The job's stdout block, printed below in deployment order.
+        std::string out;
         char buf[256];
         if (csv) {
           for (std::size_t i = 0; i < result.samples.size(); ++i) {
             const auto& sample = result.samples[i];
             std::snprintf(buf, sizeof(buf), "%s,%zu,%.3f,%.3f,%.3f,%s\n",
-                          deployment_slug(deployments[index]).c_str(), i,
+                          core::fig5_slug(config.deployment).c_str(), i,
                           sample.total_ms, sample.wireless_ms,
                           sample.beyond_pgw_ms,
                           sample.address.to_string().c_str());
-            out.summary_lines += buf;
+            out += buf;
           }
           return out;
         }
@@ -170,155 +110,49 @@ int run_fig5_sweep(const util::ArgParser& args) {
                       summary.mean, result.wireless().mean(),
                       result.beyond_pgw().mean(), summary.min, summary.max,
                       result.failures());
-        out.summary_lines += buf;
+        out += buf;
         const double mec_share = result.answer_share(
             [&](simnet::Ipv4Address a) { return testbed.is_mec_cache(a); });
         std::snprintf(buf, sizeof(buf), "answers from MEC caches: %.0f%%\n",
                       100.0 * mec_share);
-        out.summary_lines += buf;
+        out += buf;
         return out;
       });
 
   if (csv) {
     std::printf("deployment,query,total_ms,wireless_ms,beyond_pgw_ms,answer\n");
   }
-  obs::Registry combined;
-  for (std::size_t index = 0; index < outcomes.size(); ++index) {
-    const std::string slug = deployment_slug(deployments[index]);
-    if (!outcomes[index].ok) {
-      std::fprintf(stderr, "error: deployment %s failed: %s\n", slug.c_str(),
-                   outcomes[index].error.c_str());
-      return 1;
-    }
-    const JobOutput& out = outcomes[index].value;
-    if (want_trace) {
-      const std::string path = with_slug(args.get_string("trace-out"), slug);
-      if (!obs::write_text_file(path, out.trace_json)) {
-        std::fprintf(stderr, "error: failed to write trace to %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    if (want_series) {
-      const std::string path =
-          with_slug(args.get_string("timeseries-out"), slug);
-      if (!obs::write_text_file(path, out.timeseries_json)) {
-        std::fprintf(stderr, "error: failed to write timeseries to %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    if (want_metrics) {
-      // One combined file, names prefixed per deployment (the six runs
-      // share metric names).
-      for (const auto& [key, value] : out.metrics.counters()) {
-        combined.add(slug + "." + key, value);
-      }
-      for (const auto& [key, value] : out.metrics.gauges()) {
-        combined.set_gauge(slug + "." + key, value);
-      }
-      for (const auto& [key, histogram] : out.metrics.histograms()) {
-        combined.histogram(slug + "." + key).merge(histogram);
-      }
-    }
-    std::fputs(out.summary_lines.c_str(), stdout);
+  for (const auto& outcome : outcomes) {
+    if (outcome.ok) std::fputs(outcome.value.c_str(), stdout);
   }
-  if (want_metrics && !combined.write_json(args.get_string("metrics-out"))) {
-    std::fprintf(stderr, "error: failed to write metrics to %s\n",
-                 args.get_string("metrics-out").c_str());
-    return 1;
-  }
-  return 0;
+  return campaign.exit_code();
 }
 
-util::Result<core::Fig5Deployment> parse_deployment(const std::string& text) {
-  if (text == "mec-mec") return core::Fig5Deployment::kMecLdnsMecCdns;
-  if (text == "mec-lan") return core::Fig5Deployment::kMecLdnsLanCdns;
-  if (text == "mec-wan") return core::Fig5Deployment::kMecLdnsWanCdns;
-  if (text == "provider") return core::Fig5Deployment::kProviderLdns;
-  if (text == "google") return core::Fig5Deployment::kGoogleDns;
-  if (text == "cloudflare") return core::Fig5Deployment::kCloudflareDns;
-  return util::Err("unknown deployment '" + text +
-                   "' (mec-mec|mec-lan|mec-wan|provider|google|cloudflare)");
-}
-
-int run_fig5(const util::ArgParser& args) {
-  if (args.get_string("deployment") == "all") return run_fig5_sweep(args);
-  const auto deployment = parse_deployment(args.get_string("deployment"));
-  if (!deployment.ok()) {
-    std::fprintf(stderr, "%s\n", deployment.error().message.c_str());
-    return 2;
-  }
-  core::Fig5Testbed::Config config;
-  config.deployment = deployment.value();
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  config.enable_ecs = args.get_bool("ecs");
-  core::Fig5Testbed testbed(config);
-  obs::TraceSink trace(testbed.network().simulator());
-  obs::Registry metrics;
-  obs::TimeSeries timeseries(
-      testbed.simulator(),
-      simnet::SimTime::millis(args.get_double("timeseries-window-ms")));
-  const bool want_trace = !args.get_string("trace-out").empty();
-  const bool want_metrics = !args.get_string("metrics-out").empty();
-  const bool want_series = !args.get_string("timeseries-out").empty();
-  if (want_trace) configure_sampling(args, trace);
-  testbed.set_observers(want_trace ? &trace : nullptr,
-                        want_metrics ? &metrics : nullptr);
-  testbed.set_timeseries(want_series ? &timeseries : nullptr);
-  const core::SeriesResult result =
-      testbed.measure(static_cast<std::size_t>(args.get_int("queries")));
-  if (want_metrics) testbed.export_metrics(metrics);
-  if (!write_observability(args, trace, metrics, &timeseries)) return 1;
-
-  if (args.get_bool("csv")) {
-    std::printf("deployment,query,total_ms,wireless_ms,beyond_pgw_ms,answer\n");
-    for (std::size_t i = 0; i < result.samples.size(); ++i) {
-      const auto& sample = result.samples[i];
-      std::printf("%s,%zu,%.3f,%.3f,%.3f,%s\n",
-                  args.get_string("deployment").c_str(), i, sample.total_ms,
-                  sample.wireless_ms, sample.beyond_pgw_ms,
-                  sample.address.to_string().c_str());
-    }
-    return 0;
-  }
-  const util::Summary summary = result.totals().summarize();
-  std::printf("%s: mean %.1f ms (wireless %.1f + dns %.1f), min %.1f, max "
-              "%.1f, failures %zu\n",
-              core::to_string(config.deployment).c_str(), summary.mean,
-              result.wireless().mean(), result.beyond_pgw().mean(),
-              summary.min, summary.max, result.failures());
-  const double mec_share = result.answer_share(
-      [&](simnet::Ipv4Address a) { return testbed.is_mec_cache(a); });
-  std::printf("answers from MEC caches: %.0f%%\n", 100.0 * mec_share);
-  return 0;
-}
-
-int run_study(const util::ArgParser& args) {
-  core::MeasurementStudy::Config config;
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  config.queries_per_cell = static_cast<std::size_t>(args.get_int("queries"));
-  core::MeasurementStudy study(config);
+/// --experiment study: one (site, network) cell as a campaign of one job.
+int run_study(const util::ArgParser& args, core::Campaign& campaign) {
   const auto site = static_cast<std::size_t>(args.get_int("site"));
   if (site >= workload::figure3_profiles().size()) {
     std::fprintf(stderr, "site index out of range (0-%zu)\n",
                  workload::figure3_profiles().size() - 1);
     return 2;
   }
-  obs::TraceSink trace(study.network().simulator());
-  obs::Registry metrics;
-  obs::TimeSeries timeseries(
-      study.network().simulator(),
-      simnet::SimTime::millis(args.get_double("timeseries-window-ms")));
-  const bool want_trace = !args.get_string("trace-out").empty();
-  const bool want_metrics = !args.get_string("metrics-out").empty();
-  const bool want_series = !args.get_string("timeseries-out").empty();
-  if (want_trace) configure_sampling(args, trace);
-  study.set_observers(want_trace ? &trace : nullptr,
-                      want_metrics ? &metrics : nullptr);
-  study.set_timeseries(want_series ? &timeseries : nullptr);
-  const auto cell = study.run_cell(site, args.get_string("network"));
-  if (!write_observability(args, trace, metrics, &timeseries)) return 1;
+  const auto outcomes = campaign.run<core::MeasurementStudy::CellResult>(
+      {""}, [&](std::size_t, core::JobArtifacts& artifacts) {
+        core::MeasurementStudy::Config config;
+        config.seed = campaign.seed();
+        config.queries_per_cell =
+            static_cast<std::size_t>(args.get_int("queries"));
+        core::MeasurementStudy study(config);
+        core::JobSinks sinks(campaign, study.network().simulator());
+        if (sinks.trace() != nullptr) configure_sampling(args, *sinks.trace());
+        study.set_observers(sinks.trace(), sinks.metrics());
+        study.set_timeseries(sinks.timeseries());
+        auto cell = study.run_cell(site, args.get_string("network"));
+        sinks.collect(artifacts);
+        return cell;
+      });
+  if (!outcomes.front().ok) return 1;
+  const auto& cell = outcomes.front().value;
 
   if (args.get_bool("csv")) {
     std::printf("website,network,query,latency_ms\n");
@@ -327,7 +161,7 @@ int run_study(const util::ArgParser& args) {
       std::printf("%s,%s,%zu,%.3f\n", cell.website.c_str(),
                   cell.network_class.c_str(), i, values[i]);
     }
-    return 0;
+    return campaign.exit_code();
   }
   std::printf("%s over %s: bar %.1f ms (8th-92nd pct), min %.1f, max %.1f\n",
               cell.website.c_str(), cell.network_class.c_str(),
@@ -336,27 +170,24 @@ int run_study(const util::ArgParser& args) {
     std::printf("  %-40s %.0f%%\n", key.c_str(),
                 100.0 * cell.distribution.share(key));
   }
-  return 0;
+  return campaign.exit_code();
 }
 
 int run_ecs(const util::ArgParser& args) {
-  const auto deployment = parse_deployment(args.get_string("deployment"));
-  if (!deployment.ok()) {
-    std::fprintf(stderr, "%s\n", deployment.error().message.c_str());
-    return 2;
-  }
+  core::Fig5Deployment deployment;
+  if (!deployment_from_flag(args, deployment)) return 2;
   const auto queries = static_cast<std::size_t>(args.get_int("queries"));
   double means[2];
   for (const bool ecs : {false, true}) {
     core::Fig5Testbed::Config config;
-    config.deployment = deployment.value();
+    config.deployment = deployment;
     config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
     config.enable_ecs = ecs;
     core::Fig5Testbed testbed(config);
     means[ecs ? 1 : 0] = testbed.measure(queries).totals().mean();
   }
   std::printf("%s: no-ECS %.1f ms, ECS %.1f ms, ratio %.2fx\n",
-              core::to_string(deployment.value()).c_str(), means[0], means[1],
+              core::to_string(deployment).c_str(), means[0], means[1],
               means[1] / means[0]);
   return 0;
 }
@@ -370,27 +201,12 @@ int main(int argc, char** argv) {
   args.add_string("deployment", "mec-mec",
                   "fig5/ecs deployment: mec-mec|mec-lan|mec-wan|provider|"
                   "google|cloudflare, or 'all' (fig5) for the whole sweep");
-  args.add_int("workers", 0,
-               "parallel campaign workers for --deployment all "
-               "(0 = hardware concurrency, 1 = serial); output is "
-               "byte-identical for any value");
   args.add_int("queries", 50, "measured queries per series");
-  args.add_int("seed", 42, "simulation seed");
   args.add_bool("ecs", false, "enable EDNS Client Subnet (fig5)");
   args.add_int("site", 0, "study: Table 1 site index (0-4)");
   args.add_string("network", "cellular-mobile",
                   "study: wired-campus | wifi-home | cellular-mobile");
   args.add_bool("csv", false, "emit per-query CSV instead of a summary");
-  args.add_string("trace-out", "",
-                  "write per-query spans as Chrome trace-event JSON "
-                  "(chrome://tracing / Perfetto)");
-  args.add_string("metrics-out", "",
-                  "write counters/gauges/histograms as JSON");
-  args.add_string("timeseries-out", "",
-                  "write sim-time-windowed metrics (with chaos annotations) "
-                  "as JSON");
-  args.add_double("timeseries-window-ms", 500.0,
-                  "sim-time window width for --timeseries-out");
   args.add_double("trace-sample", 1.0,
                   "head-sampling rate for root query spans (1.0 = keep all; "
                   "slow or failed lookups are always kept)");
@@ -400,20 +216,19 @@ int main(int argc, char** argv) {
                   "tail-keep threshold: sampled-out lookups slower than this "
                   "are kept anyway");
   args.add_bool("help", false, "print usage");
-
-  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
-    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
-                 args.usage(argv[0]).c_str());
-    return 2;
-  }
+  core::Campaign campaign(
+      args, {.flags = core::kTraceOut | core::kMetricsOut |
+                      core::kTimeSeriesOut | core::kTimeSeriesWindow,
+             .prefix_metrics = true});
+  if (!campaign.parse(argc, argv)) return 2;
   if (args.get_bool("help")) {
     std::printf("%s", args.usage(argv[0]).c_str());
     return 0;
   }
 
   const std::string experiment = args.get_string("experiment");
-  if (experiment == "fig5") return run_fig5(args);
-  if (experiment == "study") return run_study(args);
+  if (experiment == "fig5") return run_fig5(args, campaign);
+  if (experiment == "study") return run_study(args, campaign);
   if (experiment == "ecs") return run_ecs(args);
   std::fprintf(stderr, "unknown experiment '%s'\n%s", experiment.c_str(),
                args.usage(argv[0]).c_str());
