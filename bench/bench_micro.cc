@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "cdn/consistent_hash.h"
@@ -147,6 +148,39 @@ void BM_ScheduleAfterDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ScheduleAfterDrain)->Arg(1024)->Arg(16384);
+
+// The hold model at the sim-mec-dns peak queue depth (8,241 pending
+// events): every fired event schedules its successor, so each step is one
+// pop and one push against a full queue — the heap cost the two drain
+// benchmarks above barely reach. The capture is shaped like DnsTransport's
+// retransmission timer (this, alive flag, query id, generation).
+struct HoldModel {
+  simnet::Simulator sim;
+  std::shared_ptr<bool> alive = std::make_shared<bool>(true);
+  util::Rng rng{7};
+  std::uint64_t fired = 0;
+
+  void arm(std::uint64_t id, std::uint64_t generation) {
+    sim.schedule_after(
+        simnet::SimTime::nanos(static_cast<std::int64_t>(rng.uniform_int(8'000'000))),
+        [this, alive = alive, id, generation] {
+          if (!*alive) return;
+          ++fired;
+          arm(id, generation + 1);
+        });
+  }
+};
+
+void BM_SimulatorHoldAtPeakDepth(benchmark::State& state) {
+  HoldModel model;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    model.arm(static_cast<std::uint64_t>(i), 0);
+  }
+  for (auto _ : state) model.sim.step();
+  benchmark::DoNotOptimize(model.fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorHoldAtPeakDepth)->Arg(8241);
 
 // Flat open-addressing map vs std::map on the DNS-cache key shape — the
 // head-to-head behind moving every hot map off the red-black tree.

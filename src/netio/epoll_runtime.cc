@@ -102,19 +102,13 @@ simnet::SimTime EpollRuntime::now() const {
 }
 
 TimerId EpollRuntime::schedule_after(simnet::SimTime delay, Callback fn) {
-  const TimerId id = next_timer_id_++;
-  timer_heap_.push_back(
-      Timer{now() + delay, id, simnet::current_trace_token(), std::move(fn)});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-  armed_.insert(id);
-  return id;
+  return timers_.push(now() + delay, simnet::current_trace_token(),
+                      std::move(fn));
 }
 
 void EpollRuntime::cancel(TimerId timer) {
-  if (timer == kNoTimer) return;
-  if (armed_.erase(timer) == 0) return;  // already fired (or never existed)
-  cancelled_.insert(timer);
-  ++timers_cancelled_;
+  // A stale id (fired, already cancelled, or kNoTimer) is not counted.
+  if (timers_.cancel(timer)) ++timers_cancelled_;
 }
 
 DatagramSocket* EpollRuntime::open_socket(std::uint16_t port,
@@ -166,31 +160,14 @@ void EpollRuntime::close_socket(DatagramSocket* socket) {
 }
 
 simnet::SimTime EpollRuntime::next_timer_deadline() {
-  // Purge cancelled tombstones at the head so a dead timer never shortens
-  // the epoll sleep.
-  while (!timer_heap_.empty() &&
-         cancelled_.count(timer_heap_.front().id) != 0) {
-    cancelled_.erase(timer_heap_.front().id);
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-    timer_heap_.pop_back();
-  }
-  if (timer_heap_.empty()) return simnet::SimTime::max();
-  return timer_heap_.front().at;
+  // next_at() skips cancelled keys, so a dead timer never shortens the
+  // epoll sleep.
+  return timers_.empty() ? simnet::SimTime::max() : timers_.next_at();
 }
 
 void EpollRuntime::fire_due_timers() {
-  while (!timer_heap_.empty()) {
-    if (cancelled_.count(timer_heap_.front().id) != 0) {
-      cancelled_.erase(timer_heap_.front().id);
-      std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-      timer_heap_.pop_back();
-      continue;
-    }
-    if (timer_heap_.front().at > now()) return;
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-    Timer timer = std::move(timer_heap_.back());
-    timer_heap_.pop_back();
-    armed_.erase(timer.id);
+  while (!timers_.empty() && timers_.next_at() <= now()) {
+    simnet::EventQueue::Event timer = timers_.pop();
     ++timers_fired_;
     simnet::TraceTokenGuard context(timer.trace);
     timer.fn();

@@ -1,12 +1,10 @@
 // Discrete-event simulator core: a clock and an ordered event queue.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
-#include "simnet/context.h"
+#include "simnet/event_queue.h"
 #include "simnet/time.h"
-#include "util/inline_function.h"
 
 namespace mecdns::simnet {
 
@@ -24,12 +22,12 @@ namespace mecdns::simnet {
 /// the lambdas the dns/simnet layers schedule (a TraceToken, an alive-flag,
 /// a Packet or a couple of values) fit in place, so the steady-state event
 /// costs zero heap allocations where std::function allocated nearly every
-/// time. The queue itself is a binary heap over a plain vector, managed
-/// with push_heap/pop_heap so events can be *moved* out (std::priority_queue
-/// only exposes a const top(), which forces a copy).
+/// time. Events wait in an EventQueue (event_queue.h): the heap orders
+/// 16-byte (time, seq|slot) keys while each callback sits still in a slab
+/// slot, moved in once when scheduled and out once when it runs.
 class Simulator {
  public:
-  using Callback = util::InlineFunction<void(), 192>;
+  using Callback = EventQueue::Callback;
 
   Simulator();
   ~Simulator();
@@ -65,24 +63,10 @@ class Simulator {
   std::size_t max_queue_depth() const { return max_queue_depth_; }
 
  private:
-  struct Event {
-    SimTime at;
-    std::uint64_t seq;
-    TraceToken trace;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
   std::size_t max_queue_depth_ = 0;
-  std::vector<Event> queue_;  ///< binary heap ordered by Later
+  EventQueue queue_;
 };
 
 }  // namespace mecdns::simnet

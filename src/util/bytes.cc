@@ -29,6 +29,9 @@ std::vector<std::uint8_t> ByteWriter::take() {
 }
 
 void ByteWriter::append(const std::uint8_t* src, std::size_t n) {
+  // An empty append may come with a null src (an empty vector's data()) on
+  // a writer with no buffer yet; memcpy with null pointers is UB even for 0.
+  if (n == 0) return;
   if (size_ + n > cap_) grow(n);
   std::memcpy(data_ + size_, src, n);
   size_ += n;

@@ -74,6 +74,46 @@ TEST(EpollRuntimeTest, CancelledTimerNeverFires) {
   EXPECT_EQ(rt.timers_fired(), 1u);
 }
 
+TEST(EpollRuntimeTest, StaleIdDoesNotCancelTheSlotsNextTimer) {
+  EpollRuntime rt;
+  int first_fired = 0;
+  int second_fired = 0;
+  const TimerId first = rt.schedule_after(SimTime::zero(), [&] { ++first_fired; });
+  rt.run_until(rt.now() + SimTime::millis(5));
+  ASSERT_EQ(first_fired, 1);
+  const TimerId second =
+      rt.schedule_after(SimTime::millis(5), [&] { ++second_fired; });
+  // Same slot, new generation: the fired timer's id is stale.
+  EXPECT_EQ(static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(second));
+  EXPECT_NE(first, second);
+  rt.cancel(first);
+  EXPECT_EQ(rt.timers_cancelled(), 0u);
+  rt.run_until(rt.now() + SimTime::millis(40));
+  EXPECT_EQ(second_fired, 1);
+  EXPECT_EQ(rt.timers_fired(), 2u);
+}
+
+TEST(EpollRuntimeTest, TimerCallbackCanCancelOtherTimers) {
+  EpollRuntime rt;
+  std::vector<int> fired;
+  TimerId later = kNoTimer;
+  TimerId same_deadline = kNoTimer;
+  TimerId self = kNoTimer;
+  self = rt.schedule_after(SimTime::millis(5), [&] {
+    fired.push_back(1);
+    rt.cancel(same_deadline);  // due in this very round
+    rt.cancel(later);
+    rt.cancel(self);  // already fired: not counted
+  });
+  same_deadline = rt.schedule_after(SimTime::millis(5), [&] { fired.push_back(2); });
+  later = rt.schedule_after(SimTime::millis(15), [&] { fired.push_back(3); });
+  rt.schedule_after(SimTime::millis(25), [&] { fired.push_back(4); });
+  rt.run_until(rt.now() + SimTime::millis(60));
+  EXPECT_EQ(fired, (std::vector<int>{1, 4}));
+  EXPECT_EQ(rt.timers_cancelled(), 2u);
+  EXPECT_EQ(rt.timers_fired(), 2u);
+}
+
 TEST(EpollRuntimeTest, NowTracksWallClock) {
   EpollRuntime rt;
   const SimTime start = rt.now();

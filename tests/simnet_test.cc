@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "simnet/ip.h"
 #include "simnet/latency.h"
 #include "simnet/network.h"
 #include "simnet/simulator.h"
 #include "simnet/time.h"
+#include "util/rng.h"
 
 namespace mecdns::simnet {
 namespace {
@@ -79,6 +87,91 @@ TEST(Simulator, RunUntilStopsAndAdvancesClock) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), SimTime::millis(5));
   EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, RandomSchedulesRunInReferenceOrder) {
+  // Differential check of the event queue: ~100k events over a few distinct
+  // delays (so most share a timestamp with others), half of them scheduled
+  // from inside running callbacks. The execution order must equal a plain
+  // sort of every scheduled event by (time, schedule order).
+  constexpr std::size_t kEvents = 100'000;
+  Simulator sim;
+  util::Rng rng(20201104);
+  std::vector<std::pair<SimTime, std::size_t>> scheduled;  // (at, seq)
+  std::vector<std::size_t> fired;
+  std::function<void()> schedule_one = [&] {
+    const std::size_t seq = scheduled.size();
+    const SimTime at =
+        sim.now() + SimTime::micros(static_cast<double>(rng.uniform_int(8)));
+    scheduled.emplace_back(at, seq);
+    sim.schedule_at(at, [&, seq] {
+      fired.push_back(seq);
+      for (auto children = rng.uniform_int(4);
+           children > 0 && scheduled.size() < kEvents; --children) {
+        schedule_one();
+      }
+    });
+  };
+  for (int i = 0; i < 5000; ++i) schedule_one();
+  sim.run();
+
+  ASSERT_EQ(scheduled.size(), kEvents);
+  std::sort(scheduled.begin(), scheduled.end());
+  std::vector<std::size_t> expected;
+  expected.reserve(kEvents);
+  for (const auto& [at, seq] : scheduled) expected.push_back(seq);
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.executed(), kEvents);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, SlabGrowsWhileACallbackRuns) {
+  // The running callback has been moved out of its slot, so scheduling
+  // enough events to reallocate the slab cannot move it under its own feet
+  // (ASan would flag the captured vector otherwise).
+  Simulator sim;
+  int sum = -1;
+  int small_fired = 0;
+  std::vector<int> payload(64, 3);
+  sim.schedule_at(SimTime::millis(1), [&sim, &sum, &small_fired, payload] {
+    for (int i = 0; i < 10'000; ++i) {
+      sim.schedule_after(SimTime::micros(i % 5), [&small_fired] { ++small_fired; });
+    }
+    sum = 0;
+    for (int v : payload) sum += v;
+  });
+  sim.run();
+  EXPECT_EQ(sum, 64 * 3);
+  EXPECT_EQ(small_fired, 10'000);
+  EXPECT_EQ(sim.max_queue_depth(), 10'000u);
+}
+
+TEST(Simulator, OversizedCallableTakesTheHeapFallback) {
+  Simulator sim;
+  std::array<std::uint8_t, 512> big{};
+  big.back() = 42;
+  int seen = 0;
+  auto fn = [big, &seen] { seen = big.back(); };
+  static_assert(sizeof(fn) > 192, "must exceed the inline buffer");
+  sim.schedule_after(SimTime::millis(1), std::move(fn));
+  sim.schedule_after(SimTime::millis(2), [&seen] { seen += 1; });
+  sim.run();
+  EXPECT_EQ(seen, 43);
+}
+
+TEST(Simulator, DestroysPendingCallbacks) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    for (int i = 0; i < 100; ++i) {
+      sim.schedule_at(SimTime::millis(i), [token] {});
+    }
+    EXPECT_EQ(token.use_count(), 101);
+    sim.run_until(SimTime::millis(39.5));  // fires (and destroys) 40
+    EXPECT_EQ(token.use_count(), 61);
+    EXPECT_EQ(sim.pending(), 60u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --- IP addressing -----------------------------------------------------------------

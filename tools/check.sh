@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge gauntlet:
-#   1. Debug build with ASan+UBSan, all tests under the sanitizers.
+#   1. Debug build with ASan+UBSan, all tests under the sanitizers (any
+#      UBSan report fails the test).
 #   2. Fault-matrix smoke: every chaos scenario once, fixed seed, under the
 #      sanitizers (bench_fault_availability drives the whole failure-handling
 #      stack end to end).
@@ -49,8 +50,10 @@ jobs="${1:-$(nproc)}"
 run() { echo "+ $*"; "$@"; }
 
 echo "=== 1/10: ASan/UBSan build + tests (build-asan/) ==="
+# -fno-sanitize-recover: a UBSan report aborts the test instead of scrolling
+# past in a passing run.
 run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 run cmake --build build-asan -j "$jobs"
 run ctest --test-dir build-asan --output-on-failure -j "$jobs" --timeout 120
