@@ -58,7 +58,8 @@ void CacheServer::on_packet(const simnet::Packet& packet) {
   ++stats_.requests;
   // One span per request, named after this cache; serve() and its respond
   // run under it via the ambient token the scheduled event captures.
-  obs::SpanRef span = obs::begin_span(name_, "get " + request.value().url.to_string());
+  obs::SpanRef span = obs::begin_span(
+      name_, [&] { return "get " + request.value().url.to_string(); });
   obs::AmbientSpanGuard ambient(span);
   const simnet::SimTime service =
       config_.service_time.sample(rng_) + extra_service_;
@@ -133,7 +134,7 @@ void CacheServer::respond(const ContentRequest& request,
   // The ambient span here is this request's serve span (restored by the
   // parent-fetch paths); close it once the reply is on the wire.
   obs::SpanRef span = obs::ambient_span();
-  span.tag("status", std::to_string(status));
+  span.tag("status", [&] { return std::to_string(status); });
   span.end();
 }
 
@@ -217,7 +218,8 @@ void ContentClient::get(const simnet::Endpoint& server, const Url& url,
   const std::uint64_t id = next_id_++;
   const std::uint64_t generation = next_generation_++;
   Pending pending{std::move(callback), net_.now(), generation,
-                  obs::begin_span("content", "get " + url.to_string()),
+                  obs::begin_span("content",
+                                  [&] { return "get " + url.to_string(); }),
                   simnet::current_trace_token()};
   obs::AmbientSpanGuard ambient(pending.span);
   pending_.emplace(id, std::move(pending));

@@ -51,9 +51,9 @@ const util::FrequencyTable& OpaqueCdnRouter::distribution(
   return it == distributions_.end() ? kEmpty : it->second;
 }
 
-void OpaqueCdnRouter::handle(const dns::Message& query,
-                             const dns::QueryContext& ctx,
-                             Responder respond) {
+void OpaqueCdnRouter::handle(const dns::ServerQuery& in, Responder respond) {
+  const dns::Message& query = in.query;
+  const dns::QueryContext& ctx = in.net;
   const dns::Question& q = query.question();
   if (!q.name.is_subdomain_of(domain_)) {
     respond(dns::make_response(query, dns::RCode::kRefused));

@@ -188,8 +188,9 @@ std::optional<CacheInfo> TrafficRouter::choose_cache(
   return std::nullopt;
 }
 
-void TrafficRouter::handle(const dns::Message& query,
-                           const dns::QueryContext& ctx, Responder respond) {
+void TrafficRouter::handle(const dns::ServerQuery& in, Responder respond) {
+  const dns::Message& query = in.query;
+  const dns::QueryContext& ctx = in.net;
   const dns::Question& q = query.question();
 
   if (!q.name.is_subdomain_of(config_.cdn_domain)) {
@@ -212,14 +213,15 @@ void TrafficRouter::handle(const dns::Message& query,
     obs::ambient_span().tag("ecs", "true");
   }
 
-  const auto finish = [&](dns::Message response) {
+  const auto finish = [&](dns::Message&& response) {
     if (localized_by_ecs) {
       // Extra work: option parsing, subnet validation, scoped answer
       // bookkeeping. The paper measured ECS shifting latency by roughly
       // 1.01x-1.08x; this models that small cost explicitly.
       runtime().schedule_after(
           config_.ecs_processing,
-          [respond, response = std::move(response)]() mutable {
+          [respond = std::move(respond),
+           response = std::move(response)]() mutable {
             respond(std::move(response));
           });
     } else {

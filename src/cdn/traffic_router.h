@@ -120,8 +120,7 @@ class TrafficRouter : public dns::DnsServer {
   }
 
  protected:
-  void handle(const dns::Message& query, const dns::QueryContext& ctx,
-              Responder respond) override;
+  void handle(const dns::ServerQuery& in, Responder respond) override;
 
  private:
   struct Group {

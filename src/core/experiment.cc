@@ -63,7 +63,8 @@ SeriesResult QueryRunner::run(const dns::DnsName& name, dns::RecordType type,
       // Root span for this lookup; the stub, transport, server and cache
       // stages all nest under it via the ambient token.
       obs::SpanRef root =
-          obs::begin_root_span(trace_, "runner", "query " + qname_text);
+          obs::begin_root_span(trace_, "runner",
+                               [&] { return "query " + qname_text; });
       auto handle = [this, result, measured, qname_text,
                      root](const dns::StubResult& stub_result) {
         root.tag("rcode", dns::to_string(stub_result.rcode));

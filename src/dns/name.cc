@@ -1,18 +1,15 @@
 #include "dns/name.h"
 
-#include <cctype>
 #include <cstring>
 #include <stdexcept>
 
 namespace mecdns::dns {
 
 namespace {
-char fold(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
+constexpr char fold(char c) { return fold_ascii(c); }
 
 // Case-folded bytewise comparison over wire-label bytes. Length prefixes
-// are 1..63, a range std::tolower never remaps, so folding the whole run
+// are 1..63, a range the fold never remaps, so folding the whole run
 // (prefixes included) is equivalent to folding only the label characters.
 bool wire_equal_icase(const char* a, const char* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -83,10 +80,11 @@ util::Result<void> DnsName::validate_label(std::string_view label) {
   }
   // RFC 1035 hostnames are stricter, but DNS itself is 8-bit clean; we
   // forbid only '.' (structural) and whitespace/control characters, which
-  // keeps presentation parsing unambiguous.
+  // keeps presentation parsing unambiguous. In the C locale those are the
+  // bytes below 0x21 (controls and space) and DEL; bytes >= 0x80 pass.
   for (const char c : label) {
-    if (c == '.' || std::isspace(static_cast<unsigned char>(c)) ||
-        std::iscntrl(static_cast<unsigned char>(c))) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '.' || byte < 0x21 || byte == 0x7f) {
       return util::Err("invalid character in label");
     }
   }

@@ -23,6 +23,13 @@
 
 namespace mecdns::dns {
 
+/// ASCII case fold for name bytes: maps 'A'-'Z' to 'a'-'z' and leaves every
+/// other byte alone — the C library's lower-casing in the C locale (the
+/// program never calls setlocale), without a libc call per byte.
+constexpr char fold_ascii(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 class DnsName {
  public:
   /// Maximum data octets (255-octet wire limit minus the root byte).

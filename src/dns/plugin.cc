@@ -85,22 +85,11 @@ void ForwardPlugin::serve(const PluginContext& ctx, Respond respond,
     return;
   }
   ++forwarded_;
-  Message upstream_query = ctx.query;
-  if (add_ecs_ && (!upstream_query.edns.has_value() ||
-                   !upstream_query.edns->client_subnet.has_value())) {
-    if (!upstream_query.edns.has_value()) upstream_query.edns = Edns{};
-    ClientSubnet ecs;
-    ecs.address = ctx.net.client.addr;
-    ecs.source_prefix = ecs_prefix_;
-    upstream_query.edns->client_subnet = ecs;
-  }
-  try_upstream(std::move(upstream_query), ctx.query.header.id, 0,
-               std::move(respond));
+  try_upstream(ctx, 0, std::move(respond));
 }
 
-void ForwardPlugin::try_upstream(Message upstream_query,
-                                 std::uint16_t client_id, std::size_t attempt,
-                                 Respond respond) {
+void ForwardPlugin::try_upstream(const PluginContext& ctx,
+                                 std::size_t attempt, Respond respond) {
   // Sequential policy starts every query at the primary; round-robin
   // advances the starting upstream once per client query. Failover
   // attempts walk onward from the chosen base in both policies.
@@ -111,11 +100,11 @@ void ForwardPlugin::try_upstream(Message upstream_query,
       policy_ == ForwardPolicy::kSequential ? 0 : next_upstream_;
   const simnet::Endpoint upstream =
       upstreams_[(base + attempt) % upstreams_.size()];
-  transport_.query(
-      upstream, upstream_query, options_,
-      [this, upstream_query, client_id, attempt,
-       respond = std::move(respond)](util::Result<Message> result,
-                                     simnet::SimTime /*rtt*/) mutable {
+  // The transaction slot holds the client's query until it is answered,
+  // so the callback refers to it instead of carrying a copy.
+  DnsTransport::Callback on_answer =
+      [this, &ctx, attempt, respond = std::move(respond)](
+          util::Result<Message>&& result, simnet::SimTime /*rtt*/) mutable {
         // The callback's SimTime is the transaction RTT, not a clock
         // reading — journal stamps must come from the transport's clock.
         const auto note_failover = [this] {
@@ -131,19 +120,18 @@ void ForwardPlugin::try_upstream(Message upstream_query,
           if (attempt + 1 < upstreams_.size()) {
             ++failovers_;
             note_failover();
-            try_upstream(std::move(upstream_query), client_id, attempt + 1,
-                         std::move(respond));
+            try_upstream(ctx, attempt + 1, std::move(respond));
             return;
           }
           Message failure;
-          failure.header.id = client_id;
+          failure.header.id = ctx.query.header.id;
           failure.header.qr = true;
           failure.header.rcode = RCode::kServFail;
-          failure.questions = upstream_query.questions;
+          failure.questions = ctx.query.questions;
           respond(std::move(failure));
           return;
         }
-        Message response = std::move(result.value());
+        Message& response = result.value();
         // A SERVFAIL answer means the upstream is up but failing; with
         // servfail failover enabled it is treated like a dead upstream.
         if (failover_on_servfail_ &&
@@ -153,8 +141,7 @@ void ForwardPlugin::try_upstream(Message upstream_query,
           ++failovers_;
           ++servfail_failovers_;
           note_failover();
-          try_upstream(std::move(upstream_query), client_id, attempt + 1,
-                       std::move(respond));
+          try_upstream(ctx, attempt + 1, std::move(respond));
           return;
         }
         if (attempt == 0 && journal_ != nullptr && journal_failing_) {
@@ -162,9 +149,21 @@ void ForwardPlugin::try_upstream(Message upstream_query,
           journal_->record(transport_.now(), obs::JournalKind::kLdnsRestore,
                            journal_cell_, "forward: primary recovered");
         }
-        response.header.id = client_id;
+        response.header.id = ctx.query.header.id;
         respond(std::move(response));
-      });
+      };
+  if (add_ecs_ && (!ctx.query.edns.has_value() ||
+                   !ctx.query.edns->client_subnet.has_value())) {
+    Message upstream_query = ctx.query;
+    if (!upstream_query.edns.has_value()) upstream_query.edns = Edns{};
+    ClientSubnet ecs;
+    ecs.address = ctx.net.client.addr;
+    ecs.source_prefix = ecs_prefix_;
+    upstream_query.edns->client_subnet = ecs;
+    transport_.query(upstream, upstream_query, options_, std::move(on_answer));
+    return;
+  }
+  transport_.query(upstream, ctx.query, options_, std::move(on_answer));
 }
 
 // --- CachePlugin -------------------------------------------------------------
@@ -182,8 +181,11 @@ void CachePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
     respond(std::move(response));
     return;
   }
-  next([this, q, query = ctx.query, now,
-        respond = std::move(respond)](Message response) {
+  // The wrapper reads the question from the transaction slot (ctx), which
+  // outlives it: the slot is freed only once the answer reaches the client.
+  next([this, &ctx, now,
+        respond = std::move(respond)](Message&& response) mutable {
+    const Question& q = ctx.query.question();
     if (response.header.rcode == RCode::kNoError &&
         !response.answers.empty()) {
       cache_->insert(q.name, q.type, response.answers, now);
@@ -199,7 +201,7 @@ void CachePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
         ++stale_served_;
         obs::ambient_span().tag("cache", "stale");
         Message rescued = make_response(
-            query, stale->negative ? stale->rcode : RCode::kNoError);
+            ctx.query, stale->negative ? stale->rcode : RCode::kNoError);
         rescued.answers = stale->records;
         rescued.authorities = stale->soa;
         respond(std::move(rescued));
@@ -230,12 +232,15 @@ void RewritePlugin::serve(const PluginContext& ctx, Respond respond,
 
   // This plugin rewrites the context for downstream plugins only; the chain
   // runner passes ctx by const reference, so serve the rewritten query by
-  // invoking next with a responder that restores the original name.
+  // invoking next with a responder that restores the original name — in
+  // the answer, and in the transaction slot, which the wrappers of plugins
+  // ahead of this one read when the answer reaches them.
   const DnsName original = q.name;
-  const_cast<PluginContext&>(ctx).query.questions.front().name =
-      rewritten.value();
-  next([original, rewritten = rewritten.value(),
-        respond = std::move(respond)](Message response) {
+  Message& query = const_cast<PluginContext&>(ctx).query;
+  query.questions.front().name = rewritten.value();
+  next([original, rewritten = rewritten.value(), &query,
+        respond = std::move(respond)](Message&& response) mutable {
+    query.questions.front().name = original;
     for (auto& question : response.questions) {
       if (question.name == rewritten) question.name = original;
     }
@@ -255,7 +260,7 @@ void LogPlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
   entry.qtype = ctx.query.question().type;
   entry.client = ctx.net.client;
   next([this, entry = std::move(entry),
-        respond = std::move(respond)](Message response) mutable {
+        respond = std::move(respond)](Message&& response) mutable {
     entry.rcode = response.header.rcode;
     ++total_;
     if (entries_.size() >= capacity_) entries_.pop_front();
@@ -296,9 +301,10 @@ void PluginChain::run_from(std::size_t index, const PluginContext& ctx,
   // through this plugin's responder — so a forward plugin's span covers its
   // whole upstream round trip. Plugins that never respond (drop) leave the
   // span unfinished, which the exporter marks.
-  obs::SpanRef span = obs::begin_span("plugin", plugins_[index]->name());
+  obs::SpanRef span =
+      obs::begin_span("plugin", [&] { return plugins_[index]->name(); });
   if (span.active()) {
-    respond = [span, respond = std::move(respond)](Message response) {
+    respond = [span, respond = std::move(respond)](Message&& response) mutable {
       span.end();
       respond(std::move(response));
     };
@@ -349,29 +355,24 @@ std::uint64_t PluginChainServer::view_queries(
   return 0;
 }
 
-void PluginChainServer::handle(const Message& query, const QueryContext& ctx,
-                               Responder respond) {
+void PluginChainServer::handle(const ServerQuery& in, Responder respond) {
   for (auto& view : views_) {
     const bool matches =
         view.subnets.empty() ||
         std::any_of(view.subnets.begin(), view.subnets.end(),
                     [&](const simnet::Cidr& cidr) {
-                      return cidr.contains(ctx.client.addr);
+                      return cidr.contains(in.net.client.addr);
                     });
     if (!matches) continue;
     ++view.queries;
     last_view_ = view.chain.name();
     obs::ambient_span().tag("view", view.chain.name());
-    // The context must outlive asynchronous plugin completions (forward
-    // plugins respond on a later event), so heap-allocate it per query.
-    auto pctx = std::make_shared<PluginContext>();
-    pctx->query = query;
-    pctx->net = ctx;
-    view.chain.run(*pctx, [pctx, respond = std::move(respond)](
-                              Message response) { respond(std::move(response)); });
+    // The transaction slot is the plugin context: it lives until the
+    // responder is called or dropped, however late a forward answers.
+    view.chain.run(in, std::move(respond));
     return;
   }
-  respond(make_response(query, RCode::kRefused));
+  respond(make_response(in.query, RCode::kRefused));
 }
 
 }  // namespace mecdns::dns

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,22 +21,27 @@
 #include "dns/transport.h"
 #include "dns/zone.h"
 #include "obs/journal.h"
+#include "util/inline_function.h"
 
 namespace mecdns::dns {
 
-/// Context handed down the plugin chain.
-struct PluginContext {
-  Message query;
-  QueryContext net;
-};
+/// Context handed down the plugin chain: the server's transaction slot
+/// (the decoded query and its arrival facts), valid until the query is
+/// answered or dropped — so a plugin's response wrapper may refer to it.
+using PluginContext = ServerQuery;
 
 /// One element of a chain. A plugin either answers (calls respond) or
 /// passes to the rest of the chain via next — optionally wrapping the
 /// responder to observe the downstream answer (how the cache plugin works).
+/// Both are move-only inline callables: the response is handed on by
+/// rvalue reference, never copied. A server's Responder fits a Respond in
+/// place; a wrapper that holds another Respond never fits its own type's
+/// buffer and takes one heap node. Dropping `respond` uncalled drops the
+/// query.
 class Plugin {
  public:
-  using Respond = std::function<void(Message)>;
-  using Next = std::function<void(Respond)>;
+  using Respond = util::InlineFunction<void(Message&&), 64>;
+  using Next = util::InlineFunction<void(Respond), 32>;
 
   virtual ~Plugin() = default;
   virtual std::string name() const = 0;
@@ -120,8 +124,10 @@ class ForwardPlugin : public Plugin {
   }
 
  private:
-  void try_upstream(Message upstream_query, std::uint16_t client_id,
-                    std::size_t attempt, Respond respond);
+  /// Sends the client's query (ctx.query, plus ECS when configured) to the
+  /// upstream picked for `attempt`; fails over on error or SERVFAIL.
+  void try_upstream(const PluginContext& ctx, std::size_t attempt,
+                    Respond respond);
 
   DnsName match_;
   bool add_ecs_ = false;
@@ -291,8 +297,7 @@ class PluginChainServer : public DnsServer {
   std::uint64_t view_queries(const std::string& view_name) const;
 
  protected:
-  void handle(const Message& query, const QueryContext& ctx,
-              Responder respond) override;
+  void handle(const ServerQuery& in, Responder respond) override;
 
  private:
   struct View {

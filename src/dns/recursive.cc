@@ -29,8 +29,9 @@ std::optional<ClientSubnet> RecursiveResolver::make_ecs(
   return ecs;
 }
 
-void RecursiveResolver::handle(const Message& query, const QueryContext& ctx,
-                               Responder respond) {
+void RecursiveResolver::handle(const ServerQuery& in, Responder respond) {
+  const Message& query = in.query;
+  const QueryContext& ctx = in.net;
   const Question& q = query.question();
 
   auto job = std::make_shared<Job>();
@@ -39,8 +40,9 @@ void RecursiveResolver::handle(const Message& query, const QueryContext& ctx,
   job->ecs = make_ecs(query, ctx);
   job->budget_holder = std::make_shared<int>(config_.query_budget);
   job->budget = job->budget_holder.get();
-  job->done = [this, query, respond = std::move(respond)](
-                  RCode rcode, std::shared_ptr<Job> finished) {
+  // `query` lives in the server's transaction slot until respond runs.
+  job->done = [&query, respond = std::move(respond)](
+                  RCode rcode, std::shared_ptr<Job> finished) mutable {
     Message response = make_response(query, rcode);
     response.header.ra = true;
     response.answers = std::move(finished->answers);
@@ -173,9 +175,9 @@ void RecursiveResolver::query_servers(std::shared_ptr<Job> job,
   }
   const simnet::Endpoint server = servers[index];
   transport_->query(
-      server, std::move(upstream), config_.upstream,
+      server, upstream, config_.upstream,
       [this, job, servers = std::move(servers), index](
-          util::Result<Message> result, simnet::SimTime) mutable {
+          util::Result<Message>&& result, simnet::SimTime) mutable {
         if (!result.ok()) {
           query_servers(job, std::move(servers), index + 1);  // next server
           return;

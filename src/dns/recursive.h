@@ -17,6 +17,7 @@
 #include "dns/cache.h"
 #include "dns/server.h"
 #include "dns/transport.h"
+#include "util/inline_function.h"
 
 namespace mecdns::dns {
 
@@ -53,8 +54,7 @@ class RecursiveResolver : public DnsServer {
   std::uint64_t upstream_queries() const { return upstream_queries_; }
 
  protected:
-  void handle(const Message& query, const QueryContext& ctx,
-              Responder respond) override;
+  void handle(const ServerQuery& in, Responder respond) override;
 
  private:
   /// One in-flight resolution (client-facing or internal NS lookup).
@@ -67,7 +67,7 @@ class RecursiveResolver : public DnsServer {
     int* budget = nullptr;    ///< shared across a job tree
     std::shared_ptr<int> budget_holder;
     /// Completion: rcode + whether answers are meaningful.
-    std::function<void(RCode, std::shared_ptr<Job>)> done;
+    util::InlineFunction<void(RCode, std::shared_ptr<Job>), 64> done;
   };
 
   void resolve(std::shared_ptr<Job> job);

@@ -1,6 +1,7 @@
 #include "dns/server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "netio/sim_runtime.h"
 #include "util/log.h"
@@ -35,6 +36,37 @@ DnsServer::~DnsServer() {
   rt_->close_socket(socket_);
 }
 
+Responder::Responder(Responder&& other) noexcept
+    : server_(std::exchange(other.server_, nullptr)),
+      alive_(std::move(other.alive_)), slot_(other.slot_) {}
+
+Responder& Responder::operator=(Responder&& other) noexcept {
+  if (this != &other) {
+    release();
+    server_ = std::exchange(other.server_, nullptr);
+    alive_ = std::move(other.alive_);
+    slot_ = other.slot_;
+  }
+  return *this;
+}
+
+void Responder::operator()(Message&& response) {
+  DnsServer* server = std::exchange(server_, nullptr);
+  if (server != nullptr && *alive_) {
+    server->send_response(slot_, std::move(response));
+  }
+  alive_.reset();
+}
+
+void Responder::release() {
+  DnsServer* server = std::exchange(server_, nullptr);
+  if (server != nullptr && *alive_) {
+    ++server->stats_.dropped;
+    server->free_slot(slot_);
+  }
+  alive_.reset();
+}
+
 void DnsServer::on_packet(const simnet::Packet& packet) {
   auto decoded = decode(packet.payload);
   if (!decoded.ok() || decoded.value().header.qr ||
@@ -45,67 +77,83 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
   ++stats_.queries;
   ++util::perf::counters().dns_queries_served;
 
-  QueryContext ctx;
-  ctx.client = packet.src;
-  ctx.received = rt_->now();
+  std::uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.in.query = std::move(decoded.value());
+  slot.in.net.client = packet.src;
+  slot.in.net.received = rt_->now();
+  const Message& query = slot.in.query;
 
   // When the delivering packet carries a trace (the client's transport
   // span is ambient), open a serve span under it: one slice per query,
   // named after this server, covering queueing + processing + upstreams.
-  obs::SpanRef span = obs::begin_span(
-      name_, "serve " + decoded.value().questions.front().name.to_string());
+  slot.span = obs::begin_span(name_, [&] {
+    return "serve " + query.questions.front().name.to_string();
+  });
 
   // RFC 1035 §4.2.1 / RFC 6891: the client's receive buffer is 512 octets
   // unless it advertised more via EDNS.
-  const std::size_t payload_limit =
-      decoded.value().edns.has_value()
-          ? std::max<std::size_t>(512, decoded.value().edns->udp_payload_size)
+  slot.payload_limit =
+      query.edns.has_value()
+          ? std::max<std::size_t>(512, query.edns->udp_payload_size)
           : 512;
 
   const simnet::SimTime delay =
       processing_delay_.sample(rng_) + extra_processing_;
-  // The responder captures where to send the reply; handle() may hold it
-  // across its own upstream queries.
-  Responder respond = [this, reply_to = packet.src, payload_limit,
-                       span](Message response) {
-    ++stats_.responses;
-    switch (response.header.rcode) {
-      case RCode::kRefused: ++stats_.refused; break;
-      case RCode::kNxDomain: ++stats_.nxdomain; break;
-      case RCode::kServFail: ++stats_.servfail; break;
-      default: break;
-    }
-    span.tag("rcode", to_string(response.header.rcode));
-    // The reply is sent straight from the encoder's arena (the socket
-    // copies into a pooled buffer / the real wire) — no per-response
-    // vector.
-    std::span<const std::uint8_t> wire = encode_view(response);
-    if (wire.size() > payload_limit) {
-      // Truncate per RFC 2181 §9: set TC and drop the record sections; the
-      // client re-queries with a larger EDNS buffer (or TCP, not modelled).
-      ++stats_.truncated;
-      response.header.tc = true;
-      response.answers.clear();
-      response.authorities.clear();
-      response.additionals.clear();
-      wire = encode_view(response);
-    }
-    socket_->send(reply_to, wire);
-    span.end();
-  };
-
   if (workers_ == 0) {
     // Idealized server: every query gets its own processing slot.
-    obs::AmbientSpanGuard ambient(span);
-    rt_->schedule_after(
-        delay, [this, alive = alive_, query = std::move(decoded.value()), ctx,
-                respond = std::move(respond)]() mutable {
-          if (!*alive) return;
-          handle(query, ctx, std::move(respond));
-        });
+    obs::AmbientSpanGuard ambient(slot.span);
+    rt_->schedule_after(delay, [this, alive = alive_, index] {
+      if (!*alive) return;
+      process(index);
+    });
     return;
   }
-  enqueue(Work{std::move(decoded.value()), ctx, std::move(respond), span});
+  enqueue(index);
+}
+
+void DnsServer::process(std::uint32_t slot) {
+  handle(slots_[slot].in, Responder(this, alive_, slot));
+}
+
+void DnsServer::send_response(std::uint32_t index, Message&& response) {
+  Slot& slot = slots_[index];
+  ++stats_.responses;
+  switch (response.header.rcode) {
+    case RCode::kRefused: ++stats_.refused; break;
+    case RCode::kNxDomain: ++stats_.nxdomain; break;
+    case RCode::kServFail: ++stats_.servfail; break;
+    default: break;
+  }
+  slot.span.tag("rcode", [&] { return to_string(response.header.rcode); });
+  // The reply is sent straight from the encoder's arena (the socket copies
+  // into a pooled buffer / the real wire) — no per-response vector.
+  std::span<const std::uint8_t> wire = encode_view(response);
+  if (wire.size() > slot.payload_limit) {
+    // Truncate per RFC 2181 §9: set TC and drop the record sections; the
+    // client re-queries with a larger EDNS buffer (or TCP, not modelled).
+    ++stats_.truncated;
+    response.header.tc = true;
+    response.answers.clear();
+    response.authorities.clear();
+    response.additionals.clear();
+    wire = encode_view(response);
+  }
+  socket_->send(slot.in.net.client, wire);
+  slot.span.end();
+  free_slot(index);
+}
+
+void DnsServer::free_slot(std::uint32_t slot) {
+  slots_[slot].span = obs::SpanRef{};
+  free_slots_.push_back(slot);
 }
 
 void DnsServer::set_service_capacity(std::size_t workers,
@@ -114,16 +162,17 @@ void DnsServer::set_service_capacity(std::size_t workers,
   max_queue_ = max_queue;
 }
 
-void DnsServer::enqueue(Work work) {
+void DnsServer::enqueue(std::uint32_t slot) {
   if (work_queue_.size() >= max_queue_) {
     ++dropped_overflow_;
     MECDNS_LOG(kWarn, name_) << "queue full (" << max_queue_
                              << "), shedding query";
-    work.span.tag("outcome", "shed");
-    work.span.end();
+    slots_[slot].span.tag("outcome", "shed");
+    slots_[slot].span.end();
+    free_slot(slot);
     return;
   }
-  work_queue_.push_back(std::move(work));
+  work_queue_.push_back(slot);
   if (work_queue_.size() > max_queue_depth_) {
     max_queue_depth_ = work_queue_.size();
   }
@@ -132,23 +181,22 @@ void DnsServer::enqueue(Work work) {
 
 void DnsServer::pump() {
   while (busy_ < workers_ && !work_queue_.empty()) {
-    Work work = std::move(work_queue_.front());
+    const std::uint32_t slot = work_queue_.front();
     work_queue_.pop_front();
     ++busy_;
     const simnet::SimTime delay =
         processing_delay_.sample(rng_) + extra_processing_;
     // pump() runs under whatever event freed the worker; restore the
     // queued query's own serve span before scheduling its processing.
-    obs::AmbientSpanGuard ambient(work.span);
-    rt_->schedule_after(
-        delay, [this, alive = alive_, work = std::move(work)]() mutable {
-          if (!*alive) return;
-          // The worker is released when processing ends; any wait for
-          // upstream answers inside handle() is I/O, not CPU.
-          handle(work.query, work.ctx, std::move(work.respond));
-          --busy_;
-          pump();
-        });
+    obs::AmbientSpanGuard ambient(slots_[slot].span);
+    rt_->schedule_after(delay, [this, alive = alive_, slot] {
+      if (!*alive) return;
+      // The worker is released when processing ends; any wait for
+      // upstream answers inside handle() is I/O, not CPU.
+      process(slot);
+      --busy_;
+      pump();
+    });
   }
 }
 
@@ -188,9 +236,8 @@ const Zone* AuthoritativeServer::find_zone(const DnsName& name) const {
   return const_cast<AuthoritativeServer*>(this)->find_zone(name);
 }
 
-void AuthoritativeServer::handle(const Message& query, const QueryContext& ctx,
-                                 Responder respond) {
-  (void)ctx;
+void AuthoritativeServer::handle(const ServerQuery& in, Responder respond) {
+  const Message& query = in.query;
   const Question& q = query.question();
   Zone* zone = find_zone(q.name);
   if (zone == nullptr) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@ struct ServerStats {
   std::uint64_t nxdomain = 0;
   std::uint64_t servfail = 0;
   std::uint64_t truncated = 0;  ///< responses cut down to TC stubs
+  std::uint64_t dropped = 0;    ///< transactions ended without a response
 };
 
 /// Network-level facts about a received query.
@@ -45,9 +45,52 @@ struct QueryContext {
   simnet::SimTime received;     ///< arrival time (before processing delay)
 };
 
+/// One query in flight at a server: the decoded message and the facts of
+/// its arrival. DnsServer keeps one per transaction in a slot that lives
+/// until the transaction's Responder is called or destroyed, so handle()
+/// and everything it starts may refer to it (and its query) until then.
+struct ServerQuery {
+  Message query;
+  QueryContext net;
+};
+
+class DnsServer;
+
+/// The right to answer one query: a small move-only handle onto the
+/// server's transaction slot. Calling it encodes and sends the response
+/// (truncating past the client's payload limit) and frees the slot;
+/// destroying it uncalled frees the slot and counts a drop
+/// (ServerStats::dropped). Each transaction thus ends in exactly one
+/// response or one counted drop. Once the server is gone a Responder is
+/// inert.
+class Responder {
+ public:
+  Responder() = default;
+  Responder(Responder&& other) noexcept;
+  Responder& operator=(Responder&& other) noexcept;
+  Responder(const Responder&) = delete;
+  Responder& operator=(const Responder&) = delete;
+  ~Responder() { release(); }
+
+  /// Sends `response`; later calls do nothing.
+  void operator()(Message&& response);
+
+ private:
+  friend class DnsServer;
+  Responder(DnsServer* server, std::shared_ptr<bool> alive,
+            std::uint32_t slot)
+      : server_(server), alive_(std::move(alive)), slot_(slot) {}
+  /// Frees the slot (counting a drop) if this handle still owns it.
+  void release();
+
+  DnsServer* server_ = nullptr;
+  std::shared_ptr<bool> alive_;
+  std::uint32_t slot_ = 0;
+};
+
 class DnsServer {
  public:
-  using Responder = std::function<void(Message)>;
+  using Responder = dns::Responder;
 
   /// Binds port 53 at `addr` on `node` of the simulated network (default:
   /// node's first address). Wraps the network in an owned SimRuntime.
@@ -72,6 +115,10 @@ class DnsServer {
   /// The simulated node (sim constructor only; kInvalidNode on live wire).
   simnet::NodeId node() const { return node_; }
   const ServerStats& stats() const { return stats_; }
+  /// Transactions in flight (slots held by a Responder or queued work).
+  std::size_t open_transactions() const {
+    return slots_.size() - free_slots_.size();
+  }
 
   /// Bounds service concurrency: at most `workers` queries are in their
   /// processing-delay phase at once; excess queries wait in a FIFO queue of
@@ -95,10 +142,10 @@ class DnsServer {
   simnet::SimTime extra_processing() const { return extra_processing_; }
 
  protected:
-  /// Subclass hook. Call `respond` at most once; not calling it drops the
-  /// query (the client's timeout handles it, as on a real network).
-  virtual void handle(const Message& query, const QueryContext& ctx,
-                      Responder respond) = 0;
+  /// Subclass hook. `in` is the transaction's slot: valid until `respond`
+  /// is called or destroyed. Not calling it drops the query (the client's
+  /// timeout handles it, as on a real network).
+  virtual void handle(const ServerQuery& in, Responder respond) = 0;
 
   util::Rng& rng() { return rng_; }
   /// The server's clock (simulated or wall), for cache TTL math etc.
@@ -108,16 +155,22 @@ class DnsServer {
   netio::Runtime& runtime() { return *rt_; }
 
  private:
-  struct Work {
-    Message query;
-    QueryContext ctx;
-    Responder respond;
+  friend class dns::Responder;
+
+  /// One transaction: the query (its answer goes back to in.net.client).
+  struct Slot {
+    ServerQuery in;
+    std::size_t payload_limit = 512;
     obs::SpanRef span;  ///< serve span; queued work keeps its own context
   };
 
   void on_packet(const simnet::Packet& packet);
-  void enqueue(Work work);
+  /// Runs handle() on a slot whose processing delay has elapsed.
+  void process(std::uint32_t slot);
+  void enqueue(std::uint32_t slot);
   void pump();
+  void send_response(std::uint32_t slot, Message&& response);
+  void free_slot(std::uint32_t slot);
 
   /// Owned by the sim-compat constructor (null otherwise); rt_ always set.
   std::unique_ptr<netio::Runtime> owned_runtime_;
@@ -134,7 +187,11 @@ class DnsServer {
   std::size_t max_queue_ = 256;
   simnet::SimTime extra_processing_ = simnet::SimTime::zero();
   std::size_t busy_ = 0;
-  std::deque<Work> work_queue_;
+  /// Transaction slots; a deque keeps them in place as it grows, so a
+  /// ServerQuery's address is stable for its transaction.
+  std::deque<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::deque<std::uint32_t> work_queue_;
   std::size_t max_queue_depth_ = 0;
   std::uint64_t dropped_overflow_ = 0;
 };
@@ -169,8 +226,7 @@ class AuthoritativeServer : public DnsServer {
   void set_rotate_answers(bool rotate) { rotate_answers_ = rotate; }
 
  protected:
-  void handle(const Message& query, const QueryContext& ctx,
-              Responder respond) override;
+  void handle(const ServerQuery& in, Responder respond) override;
 
  private:
   std::vector<Zone> zones_;

@@ -5,16 +5,16 @@
 namespace mecdns::dns {
 
 namespace {
-StubResult result_from_response(const Message& response, simnet::SimTime rtt,
+StubResult result_from_response(Message&& response, simnet::SimTime rtt,
                                 int which) {
   StubResult result;
   result.ok = response.header.rcode == RCode::kNoError;
   result.rcode = response.header.rcode;
   result.address = response.first_a();
-  result.response = response;
+  result.response = std::move(response);
   result.latency = rtt;
   result.answered_by = which;
-  if (!result.ok) result.error = to_string(response.header.rcode);
+  if (!result.ok) result.error = to_string(result.rcode);
   return result;
 }
 }  // namespace
@@ -41,12 +41,14 @@ void StubResolver::resolve(const DnsName& name, RecordType type,
   resolve_traced(name, make_query(0, name, type), std::move(callback));
 }
 
-void StubResolver::resolve_traced(const DnsName& name, Message query,
+void StubResolver::resolve_traced(const DnsName& name, const Message& query,
                                   Callback callback) {
   obs::SpanRef span =
-      obs::begin_root_span(trace_, "stub", "lookup " + name.to_string());
+      obs::begin_root_span(trace_, "stub",
+                           [&] { return "lookup " + name.to_string(); });
   if (span.active()) {
-    callback = [span, callback = std::move(callback)](const StubResult& r) {
+    callback = [span, callback = std::move(callback)](
+                   const StubResult& r) mutable {
       span.tag("rcode", to_string(r.rcode));
       span.tag("answered_by", std::to_string(r.answered_by));
       if (!r.error.empty()) span.tag("error", r.error);
@@ -59,13 +61,13 @@ void StubResolver::resolve_traced(const DnsName& name, Message query,
   // Everything dispatched here — transport sends, timeouts, CNAME chases —
   // inherits the lookup span via the ambient token.
   obs::AmbientSpanGuard ambient(span);
-  dispatch(std::move(query), std::move(callback));
+  dispatch(query, std::move(callback));
 }
 
 StubResolver::Callback StubResolver::chase_wrapper(
     Callback callback, int hops_left, simnet::SimTime accumulated) {
   return [this, callback = std::move(callback), hops_left,
-          accumulated](const StubResult& result) {
+          accumulated](const StubResult& result) mutable {
     // Chase only successful answers that end at a CNAME without an address.
     if (!result.ok || result.address.has_value() || hops_left <= 0 ||
         result.response.answers.empty()) {
@@ -87,7 +89,7 @@ StubResolver::Callback StubResolver::chase_wrapper(
       return;
     }
     dispatch(make_query(0, *target, RecordType::kA),
-             chase_wrapper(callback, hops_left - 1,
+             chase_wrapper(std::move(callback), hops_left - 1,
                            accumulated + result.latency));
   };
 }
@@ -98,14 +100,15 @@ void StubResolver::resolve_with_ecs(const DnsName& name, RecordType type,
   Message query = make_query(0, name, type);
   query.edns = Edns{};
   query.edns->client_subnet = ecs;
-  resolve_traced(name, std::move(query), std::move(callback));
+  resolve_traced(name, query, std::move(callback));
 }
 
-void StubResolver::dispatch(Message query, Callback callback) {
+void StubResolver::dispatch(const Message& query, Callback callback) {
   if (!secondary_.has_value()) {
-    transport_->query(server_, std::move(query), options_,
+    transport_->query(server_, query, options_,
                       [callback = std::move(callback)](
-                          util::Result<Message> result, simnet::SimTime rtt) {
+                          util::Result<Message>&& result,
+                          simnet::SimTime rtt) mutable {
                         if (!result.ok()) {
                           StubResult failure;
                           failure.error = result.error().message;
@@ -113,7 +116,8 @@ void StubResolver::dispatch(Message query, Callback callback) {
                           callback(failure);
                           return;
                         }
-                        callback(result_from_response(result.value(), rtt, 0));
+                        callback(result_from_response(
+                            std::move(result.value()), rtt, 0));
                       });
     return;
   }
@@ -131,19 +135,21 @@ void StubResolver::dispatch(Message query, Callback callback) {
   race->callback = std::move(callback);
 
   const auto arm = [this, race](const simnet::Endpoint& server, int which,
-                                Message q) {
+                                const Message& q) {
     transport_->query(
-        server, std::move(q), options_,
-        [race, which](util::Result<Message> result, simnet::SimTime rtt) {
+        server, q, options_,
+        [race, which](util::Result<Message>&& result, simnet::SimTime rtt) {
           if (race->done) return;
           if (result.ok() &&
               result.value().header.rcode != RCode::kRefused) {
             race->done = true;
-            race->callback(result_from_response(result.value(), rtt, which));
+            race->callback(
+                result_from_response(std::move(result.value()), rtt, which));
             return;
           }
           if (result.ok()) {
-            race->refused = result_from_response(result.value(), rtt, which);
+            race->refused =
+                result_from_response(std::move(result.value()), rtt, which);
           }
           if (++race->failures == 2) {
             race->done = true;
@@ -159,7 +165,7 @@ void StubResolver::dispatch(Message query, Callback callback) {
         });
   };
   arm(server_, 0, query);
-  arm(*secondary_, 1, std::move(query));
+  arm(*secondary_, 1, query);
 }
 
 }  // namespace mecdns::dns

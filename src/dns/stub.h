@@ -7,12 +7,12 @@
 // in parallel — the paper's multicast workaround for non-MEC domains.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 
 #include "dns/message.h"
 #include "dns/transport.h"
+#include "util/inline_function.h"
 
 namespace mecdns::obs {
 class TraceSink;
@@ -35,7 +35,8 @@ struct StubResult {
 
 class StubResolver {
  public:
-  using Callback = std::function<void(const StubResult&)>;
+  /// Move-only, stored in place up to 96 bytes of captures.
+  using Callback = util::InlineFunction<void(const StubResult&), 96>;
 
   StubResolver(simnet::Network& net, simnet::NodeId node,
                simnet::Endpoint server,
@@ -97,12 +98,13 @@ class StubResolver {
                         const ClientSubnet& ecs, Callback callback);
 
  private:
-  void dispatch(Message query, Callback callback);
+  void dispatch(const Message& query, Callback callback);
   /// Wraps `callback` so that terminal-CNAME answers restart at the target.
   Callback chase_wrapper(Callback callback, int hops_left,
                          simnet::SimTime accumulated);
   /// Opens the root lookup span and wraps `callback` to close it.
-  void resolve_traced(const DnsName& name, Message query, Callback callback);
+  void resolve_traced(const DnsName& name, const Message& query,
+                      Callback callback);
 
   std::unique_ptr<DnsTransport> transport_;
   simnet::Endpoint server_;

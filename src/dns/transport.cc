@@ -1,6 +1,5 @@
 #include "dns/transport.h"
 
-#include <cctype>
 #include <limits>
 #include <utility>
 
@@ -19,10 +18,9 @@ DnsName randomize_case(const DnsName& name, util::Rng& rng) {
     const std::string_view label = name.label(i);
     for (std::size_t k = 0; k < label.size(); ++k) {
       char c = label[k];
-      if (std::isalpha(static_cast<unsigned char>(c)) && rng.bernoulli(0.5)) {
-        c = static_cast<char>(std::isupper(static_cast<unsigned char>(c))
-                                  ? std::tolower(c)
-                                  : std::toupper(c));
+      // ASCII letters only (the C locale's isalpha); 0x20 flips the case.
+      if (fold_ascii(c) >= 'a' && fold_ascii(c) <= 'z' && rng.bernoulli(0.5)) {
+        c = static_cast<char>(c ^ 0x20);
       }
       scratch[k] = c;
     }
@@ -67,7 +65,7 @@ DnsTransport::~DnsTransport() {
   rt_->close_socket(socket_);
 }
 
-void DnsTransport::query(const simnet::Endpoint& server, Message query,
+void DnsTransport::query(const simnet::Endpoint& server, const Message& query,
                          const Options& options, Callback callback) {
   // With every one of the 65535 usable ids in flight, the id-hunt below
   // would spin forever. Fail fast instead — asynchronously, preserving the
@@ -90,24 +88,24 @@ void DnsTransport::query(const simnet::Endpoint& server, Message query,
   std::uint16_t id = next_id_;
   while (pending_.count(id) != 0 || id == 0) ++id;
   next_id_ = static_cast<std::uint16_t>(id + 1);
-  query.header.id = id;
-  if (options.use_0x20 && !query.questions.empty()) {
-    query.questions.front().name =
-        randomize_case(query.questions.front().name, rng_);
-  }
 
   Pending pending;
   pending.server = server;
-  pending.query = std::move(query);
+  pending.query = query;
+  pending.query.header.id = id;
+  if (options.use_0x20 && !pending.query.questions.empty()) {
+    pending.query.questions.front().name =
+        randomize_case(pending.query.questions.front().name, rng_);
+  }
   pending.options = options;
   pending.callback = std::move(callback);
   pending.first_sent = rt_->now();
   pending.generation = next_generation_++;
-  pending.span = obs::begin_span(
-      "transport",
-      "query " + (pending.query.questions.empty()
-                      ? std::string("<empty>")
-                      : pending.query.questions.front().name.to_string()));
+  pending.span = obs::begin_span("transport", [&] {
+    return "query " + (pending.query.questions.empty()
+                           ? std::string("<empty>")
+                           : pending.query.questions.front().name.to_string());
+  });
   pending.caller = simnet::current_trace_token();
   pending_.emplace(id, std::move(pending));
   send_attempt(id);
@@ -315,9 +313,9 @@ void DnsTransport::on_packet(const simnet::Packet& packet) {
   // The transaction is complete; its retry timer must not wake the live
   // event loop (no-op in sim — the erase alone makes the firing stale).
   rt_->cancel(done.timer);
-  done.span.tag("rcode", to_string(response.header.rcode));
+  done.span.tag("rcode", [&] { return to_string(response.header.rcode); });
   if (done.attempts > 1) {
-    done.span.tag("attempts", std::to_string(done.attempts));
+    done.span.tag("attempts", [&] { return std::to_string(done.attempts); });
   }
   done.span.end();
   simnet::TraceTokenGuard context(done.caller);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "simnet/context.h"
 #include "simnet/network.h"
 #include "util/flat_map.h"
+#include "util/inline_function.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -61,8 +61,10 @@ class DnsTransport {
 
   /// Invoked exactly once per query(): with the response, or with an error
   /// after the final timeout. `rtt` is time from first send to response.
-  using Callback =
-      std::function<void(util::Result<Message>, simnet::SimTime rtt)>;
+  /// Move-only and stored in place: 128 bytes hold a forwarded query's
+  /// continuation (a Plugin::Respond plus a few words) or a stub's callback.
+  using Callback = util::InlineFunction<
+      void(util::Result<Message>&&, simnet::SimTime rtt), 128>;
 
   /// Opens an ephemeral UDP socket on `node` of the simulated network
   /// (wraps the network in an internally owned SimRuntime).
@@ -77,9 +79,9 @@ class DnsTransport {
   DnsTransport& operator=(const DnsTransport&) = delete;
   ~DnsTransport();
 
-  /// Sends `query` to `server`. A fresh transaction id is assigned
-  /// (overwriting query.header.id).
-  void query(const simnet::Endpoint& server, Message query,
+  /// Sends a copy of `query` to `server`, kept for retransmission. A fresh
+  /// transaction id is assigned to the copy.
+  void query(const simnet::Endpoint& server, const Message& query,
              const Options& options, Callback callback);
 
   simnet::Endpoint local_endpoint() const { return socket_->endpoint(); }

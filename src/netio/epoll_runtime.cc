@@ -120,6 +120,13 @@ DatagramSocket* EpollRuntime::open_socket(std::uint16_t port,
   if (fd < 0) {
     throw std::system_error(errno, std::generic_category(), "socket");
   }
+  // A server must ride out a stalled event loop: at the kernel's default
+  // receive buffer (about 208 KiB) a burst queued while the loop is
+  // descheduled overflows after a few hundred datagrams and is dropped.
+  // Ask for 4 MiB; the kernel caps the request at net.core.rmem_max, and a
+  // refused request just leaves the default.
+  const int rcvbuf = kReceiveBufferBytes;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   sockaddr_in sa = to_sockaddr(simnet::Endpoint{addr, port});
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) < 0) {
     const int err = errno;

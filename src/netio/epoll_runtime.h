@@ -24,6 +24,9 @@ namespace mecdns::netio {
 
 class EpollRuntime final : public Runtime {
  public:
+  /// SO_RCVBUF requested for every socket (capped by net.core.rmem_max).
+  static constexpr int kReceiveBufferBytes = 4 * 1024 * 1024;
+
   EpollRuntime();
   EpollRuntime(const EpollRuntime&) = delete;
   EpollRuntime& operator=(const EpollRuntime&) = delete;
@@ -32,8 +35,9 @@ class EpollRuntime final : public Runtime {
   simnet::SimTime now() const override;
   TimerId schedule_after(simnet::SimTime delay, Callback fn) override;
   void cancel(TimerId timer) override;
-  /// Binds a real UDP socket; default address is 127.0.0.1 (the loopback
-  /// prototype case). Throws std::system_error on bind failure.
+  /// Binds a real UDP socket with a kReceiveBufferBytes receive buffer;
+  /// default address is 127.0.0.1 (the loopback prototype case). Throws
+  /// std::system_error on bind failure.
   DatagramSocket* open_socket(
       std::uint16_t port, DatagramSocket::ReceiveHandler handler,
       simnet::Ipv4Address addr = simnet::Ipv4Address()) override;

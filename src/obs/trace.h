@@ -10,16 +10,21 @@
 //
 // Zero overhead when disabled: with no sink attached the ambient token is
 // null, begin_span() returns an inert SpanRef, and every tag()/end() call
-// is a single branch.
+// is a single branch. Span names and tag values that have to be built
+// ("serve " + qname, to_string(rcode)) are passed as callables to the lazy
+// begin_span()/begin_root_span()/tag() overloads, which call them only when
+// a span is really recorded — an untraced query builds no label strings.
 //
 // The collected trace exports to the Chrome trace-event JSON format, which
 // chrome://tracing and https://ui.perfetto.dev load directly: each lookup
 // becomes one track (tid = root span id) with nested slices per stage.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "simnet/context.h"
@@ -167,6 +172,11 @@ class SpanRef {
   void tag(const std::string& key, const std::string& value) const {
     if (sink_ != nullptr) sink_->add_tag(id_, key, value);
   }
+  /// Lazy form: `make_value()` runs only when the span is active.
+  template <std::invocable MakeValue>
+  void tag(const char* key, MakeValue&& make_value) const {
+    if (sink_ != nullptr) sink_->add_tag(id_, key, make_value());
+  }
   /// Marks this span's root as always-keep under sampling (tail-based
   /// retention for failures); no-op when inert or sampling is off.
   void keep() const {
@@ -194,6 +204,26 @@ SpanRef begin_span(const std::string& component, const std::string& name);
 /// ambient span, or inert). Entry points (the stub resolver) use this.
 SpanRef begin_root_span(TraceSink* sink, const std::string& component,
                         const std::string& name);
+
+/// Lazy forms of the two above: `make_name()` builds the span name and is
+/// called only when a span will be recorded, so the untraced cost stays the
+/// token read and null check.
+template <std::invocable MakeName>
+SpanRef begin_span(const std::string& component, MakeName&& make_name) {
+  const simnet::TraceToken token = simnet::current_trace_token();
+  if (!token.active()) return SpanRef{};
+  auto* sink = static_cast<TraceSink*>(token.sink);
+  return SpanRef{sink, sink->begin(token.span, component, make_name())};
+}
+
+template <std::invocable MakeName>
+SpanRef begin_root_span(TraceSink* sink, const std::string& component,
+                        MakeName&& make_name) {
+  if (sink == nullptr) {
+    return begin_span(component, std::forward<MakeName>(make_name));
+  }
+  return SpanRef{sink, sink->begin(0, component, make_name())};
+}
 
 /// RAII: makes `span` ambient for the current scope (no-op when inert), so
 /// events scheduled inside the scope — packet deliveries, processing

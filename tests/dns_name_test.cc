@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <string>
 #include <unordered_set>
 
 #include "dns/name.h"
@@ -187,6 +190,25 @@ TEST(DnsName, WithPrefixCrossesIntoHeap) {
   EXPECT_EQ(child.value().to_string(), big + ".mycdn.ciab.test");
   EXPECT_EQ(child.value().parent(), base);
   EXPECT_GT(child.value().wire_length(), DnsName::kInlineCapacity + 1);
+}
+
+// The name code folds and validates bytes with plain ASCII arithmetic; in
+// the C locale (the program never calls setlocale) that must be exactly the
+// libc classification it replaced, for every byte value.
+TEST(DnsName, AsciiFoldAndLabelRuleEqualTheCLocaleForEveryByte) {
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(fold_ascii(c), static_cast<char>(std::tolower(b))) << b;
+    const bool libc_rejects = c == '.' || std::isspace(b) || std::iscntrl(b);
+    EXPECT_EQ(DnsName().append_label(std::string(1, c)).ok(), !libc_rejects)
+        << b;
+  }
+  // Case-insensitive equality and hashing follow the fold.
+  EXPECT_EQ(DnsName::must_parse("MiXeD.CaSe"),
+            DnsName::must_parse("mixed.case"));
+  EXPECT_EQ(DnsName::must_parse("MiXeD.CaSe").hash(),
+            DnsName::must_parse("mixed.case").hash());
 }
 
 }  // namespace

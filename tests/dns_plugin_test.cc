@@ -13,6 +13,29 @@ using simnet::Ipv4Address;
 using simnet::LatencyModel;
 using simnet::SimTime;
 
+/// Answers every query with `rcode` (plus an A record on NOERROR) and keeps
+/// the questions it was asked.
+class FixedAnswerPlugin : public Plugin {
+ public:
+  explicit FixedAnswerPlugin(RCode rcode) : rcode_(rcode) {}
+  std::string name() const override { return "fixed"; }
+  void serve(const PluginContext& ctx, Respond respond, Next) override {
+    asked.push_back(ctx.query.question());
+    Message response = make_response(ctx.query, rcode_);
+    if (rcode_ == RCode::kNoError) {
+      response.answers.push_back(make_a(ctx.query.question().name,
+                                        Ipv4Address::must_parse("198.18.7.7"),
+                                        30));
+    }
+    respond(std::move(response));
+  }
+
+  std::vector<Question> asked;
+
+ private:
+  RCode rcode_;
+};
+
 class PluginTest : public ::testing::Test {
  protected:
   PluginTest() : net_(sim_, util::Rng(21)) {
@@ -210,6 +233,29 @@ TEST_F(PluginTest, RewritePluginMapsNamespaces) {
             DnsName::must_parse("video.edge.mec"));
 }
 
+// A rewrite changes the query only for the plugins behind it: the cache in
+// front still sees (and caches) the name the client asked for.
+TEST_F(PluginTest, CacheInFrontOfRewriteCachesTheClientsName) {
+  PluginChain& pub = server_->add_default_view("public");
+  pub.add(std::make_unique<CachePlugin>(cache_));
+  pub.add(std::make_unique<RewritePlugin>(
+      DnsName::must_parse("edge.mec"), DnsName::must_parse("mycdn.test")));
+  pub.add(std::make_unique<ForwardPlugin>(
+      DnsName::must_parse("mycdn.test"),
+      std::vector<Endpoint>{{Ipv4Address::must_parse("198.51.100.53"),
+                             kDnsPort}},
+      server_->transport()));
+
+  const StubResult first = resolve_from(external_client_, "video.edge.mec");
+  const StubResult second = resolve_from(external_client_, "video.edge.mec");
+  ASSERT_TRUE(first.ok);
+  ASSERT_TRUE(second.ok);
+  EXPECT_EQ(upstream_->stats().queries, 1u);  // the second was a cache hit
+  ASSERT_FALSE(second.response.answers.empty());
+  EXPECT_EQ(second.response.answers.front().name,
+            DnsName::must_parse("video.edge.mec"));
+}
+
 TEST_F(PluginTest, DropPluginNeverAnswers) {
   PluginChain& pub = server_->add_default_view("public");
   auto drop = std::make_unique<DropPlugin>();
@@ -261,6 +307,128 @@ TEST_F(PluginTest, ZonePluginServesDelegationAndNegative) {
   const StubResult missing =
       resolve_from(external_client_, "nothere.cluster.local");
   EXPECT_EQ(missing.rcode, RCode::kNxDomain);
+}
+
+// --- one response or one counted drop per transaction ----------------------
+
+/// Every query the server took in ended in exactly one response or one
+/// counted drop, and no transaction slot is still held.
+void expect_transactions_closed(const DnsServer& server) {
+  EXPECT_EQ(server.stats().responses + server.stats().dropped,
+            server.stats().queries);
+  EXPECT_EQ(server.open_transactions(), 0u);
+}
+
+TEST_F(PluginTest, ZoneAnswerClosesTheTransaction) {
+  build_split_views();
+  const StubResult result =
+      resolve_from(internal_client_, "traffic-router.cdn.svc.cluster.local");
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(server_->stats().queries, 1u);
+  EXPECT_EQ(server_->stats().responses, 1u);
+  EXPECT_EQ(server_->stats().dropped, 0u);
+  expect_transactions_closed(*server_);
+}
+
+TEST_F(PluginTest, ForwardedAnswerClosesTheTransaction) {
+  build_split_views();
+  const StubResult result = resolve_from(external_client_, "video.mycdn.test");
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(server_->stats().responses, 1u);
+  EXPECT_EQ(server_->stats().dropped, 0u);
+  expect_transactions_closed(*server_);
+  // The upstream's answer went back under the client's transaction id.
+  EXPECT_EQ(result.response.header.qr, true);
+}
+
+TEST_F(PluginTest, ServfailFailoverAsksTheNextUpstreamTheOriginalQuestion) {
+  const Endpoint first{Ipv4Address::must_parse("198.51.100.61"), kDnsPort};
+  const Endpoint second{Ipv4Address::must_parse("198.51.100.62"), kDnsPort};
+  const simnet::NodeId first_node = net_.add_node("up-a", first.addr);
+  const simnet::NodeId second_node = net_.add_node("up-b", second.addr);
+  net_.add_link(server_node_, first_node,
+                LatencyModel::constant(SimTime::millis(2)));
+  net_.add_link(server_node_, second_node,
+                LatencyModel::constant(SimTime::millis(3)));
+  const auto upstream = [&](simnet::NodeId node, RCode rcode,
+                            FixedAnswerPlugin*& plugin) {
+    auto server = std::make_unique<PluginChainServer>(
+        net_, node, "up", LatencyModel::constant(SimTime::micros(100)));
+    auto answer = std::make_unique<FixedAnswerPlugin>(rcode);
+    plugin = answer.get();
+    server->add_default_view("all").add(std::move(answer));
+    return server;
+  };
+  FixedAnswerPlugin* failing = nullptr;
+  FixedAnswerPlugin* answering = nullptr;
+  auto failing_server = upstream(first_node, RCode::kServFail, failing);
+  auto answering_server = upstream(second_node, RCode::kNoError, answering);
+
+  PluginChain& pub = server_->add_default_view("public");
+  auto forward = std::make_unique<ForwardPlugin>(
+      DnsName::root(), std::vector<Endpoint>{first, second},
+      server_->transport());
+  forward->set_failover_on_servfail(true);
+  ForwardPlugin* forward_ptr = forward.get();
+  pub.add(std::move(forward));
+
+  const StubResult result = resolve_from(external_client_, "video.mycdn.test");
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(*result.address, Ipv4Address::must_parse("198.18.7.7"));
+  EXPECT_EQ(forward_ptr->servfail_failovers(), 1u);
+  const Question original{DnsName::must_parse("video.mycdn.test"),
+                          RecordType::kA, RecordClass::kIn};
+  ASSERT_EQ(failing->asked.size(), 1u);
+  ASSERT_EQ(answering->asked.size(), 1u);
+  EXPECT_EQ(failing->asked.front(), original);
+  EXPECT_EQ(answering->asked.front(), original);
+  EXPECT_EQ(server_->stats().responses, 1u);
+  expect_transactions_closed(*server_);
+}
+
+TEST_F(PluginTest, DropPluginFreesTheSlotAndCountsTheDrop) {
+  PluginChain& pub = server_->add_default_view("public");
+  pub.add(std::make_unique<DropPlugin>());
+  StubResolver stub(net_, external_client_,
+                    Endpoint{Ipv4Address::must_parse("10.240.0.2"), kDnsPort},
+                    DnsTransport::Options{SimTime::millis(50), 0, 4096});
+  int callbacks = 0;
+  stub.resolve(DnsName::must_parse("x.test"), RecordType::kA,
+               [&](const StubResult&) { ++callbacks; });
+  sim_.run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(server_->stats().responses, 0u);
+  EXPECT_EQ(server_->stats().dropped, 1u);
+  expect_transactions_closed(*server_);
+}
+
+TEST_F(PluginTest, ServerDestroyedMidForwardNeverAnswers) {
+  // The upstream is down, so the forward is still in flight when the
+  // server goes away; its transaction (slot, responder, forward callback)
+  // must be torn down without answering and without leaking.
+  net_.set_node_up(upstream_node_, false);
+  build_split_views();
+  StubResolver stub(net_, external_client_,
+                    Endpoint{Ipv4Address::must_parse("10.240.0.2"), kDnsPort},
+                    DnsTransport::Options{SimTime::millis(3000), 0, 4096});
+  int callbacks = 0;
+  StubResult out;
+  stub.resolve(DnsName::must_parse("video.mycdn.test"), RecordType::kA,
+               [&](const StubResult& result) {
+                 ++callbacks;
+                 out = result;
+               });
+  sim_.schedule_at(SimTime::millis(100), [&] {
+    ASSERT_EQ(server_->stats().queries, 1u);
+    EXPECT_EQ(server_->open_transactions(), 1u);
+    server_.reset();
+  });
+  sim_.run();
+  // The forward's 2 s upstream timeout fired after the server was gone and
+  // produced no SERVFAIL: the client only ever sees its own timeout.
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_FALSE(out.ok);
+  EXPECT_NE(out.error.find("timed out"), std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <vector>
 
 #include "dns/server.h"
@@ -151,6 +152,35 @@ TEST(EpollRuntimeTest, LoopbackDatagramRoundTrip) {
   rt.close_socket(client);
   rt.close_socket(echo);
   EXPECT_EQ(rt.open_sockets(), 0u);
+}
+
+/// A stalled server loop must not lose a burst: 2,000 queries queued before
+/// the loop runs all fit the 4 MiB receive buffer every socket asks for (at
+/// the kernel's ~208 KiB default only a few hundred do).
+TEST(EpollRuntimeTest, ReceiveBufferHoldsABurstQueuedBeforeTheLoopRuns) {
+  long rmem_max = 0;
+  if (std::FILE* f = std::fopen("/proc/sys/net/core/rmem_max", "r")) {
+    if (std::fscanf(f, "%ld", &rmem_max) != 1) rmem_max = 0;
+    std::fclose(f);
+  }
+  if (rmem_max < EpollRuntime::kReceiveBufferBytes) {
+    GTEST_SKIP() << "net.core.rmem_max is " << rmem_max
+                 << " B, below the " << EpollRuntime::kReceiveBufferBytes
+                 << " B receive buffer this burst needs";
+  }
+  constexpr int kBurst = 2000;
+  EpollRuntime rt;
+  int received = 0;
+  DatagramSocket* server = rt.open_socket(0, [&](const simnet::Packet&) {
+    if (++received == kBurst) rt.stop();
+  });
+  DatagramSocket* client = rt.open_socket(0, [](const simnet::Packet&) {});
+  const std::vector<std::uint8_t> query(64, 0x5a);
+  for (int i = 0; i < kBurst; ++i) client->send(server->endpoint(), query);
+  rt.run_until(rt.now() + SimTime::millis(5000));
+  EXPECT_EQ(received, kBurst);
+  rt.close_socket(client);
+  rt.close_socket(server);
 }
 
 /// The live-wire acceptance path in miniature: a real DNS query over a real

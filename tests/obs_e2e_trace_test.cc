@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cdn/cache_server.h"
 #include "core/experiment.h"
@@ -109,6 +110,31 @@ TEST_F(ObsE2eTest, TracedLookupCoversEveryResolutionStage) {
     }
   }
   EXPECT_TRUE(routed);
+}
+
+// Span names are built only when a span is recorded; with a sink attached
+// every stage must still get exactly the names and tags it always had.
+TEST_F(ObsE2eTest, TracedLookupSpanNamesAndTagsArePinned) {
+  const auto result = traced_resolve("video.demo1.mycdn.ciab.test");
+  ASSERT_TRUE(result.ok);
+  std::vector<std::string> seen;
+  for (const auto& span : sink_.spans()) {
+    std::string line = span.component + "/" + span.name;
+    for (const auto& tag : span.tags) line += " " + tag.key + "=" + tag.value;
+    seen.push_back(line);
+  }
+  const std::vector<std::string> expected = {
+      "stub/lookup video.demo1.mycdn.ciab.test rcode=NOERROR answered_by=0",
+      "transport/query video.demo1.mycdn.ciab.test rcode=NOERROR",
+      "mec-coredns/serve video.demo1.mycdn.ciab.test view=public "
+      "rcode=NOERROR",
+      "plugin/cache cache=miss",
+      "plugin/forward(mycdn.ciab.test)",
+      "transport/query video.demo1.mycdn.ciab.test rcode=NOERROR",
+      "mec-cdns/serve video.demo1.mycdn.ciab.test route=routed "
+      "cache=edge-cache-0 group=mec-edge rcode=NOERROR",
+  };
+  EXPECT_EQ(seen, expected) << ::testing::PrintToString(seen);
 }
 
 TEST_F(ObsE2eTest, TracedContentFetchReachesAnEdgeCache) {

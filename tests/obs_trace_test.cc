@@ -72,6 +72,35 @@ TEST_F(TraceTest, NoAmbientMeansInertSpans) {
   EXPECT_FALSE(ambient_span().active());
 }
 
+TEST_F(TraceTest, LazyNamesAndTagsAreBuiltOnlyForRecordedSpans) {
+  int built = 0;
+  const auto name = [&] {
+    ++built;
+    return std::string("serve www.example.com");
+  };
+  SpanRef orphan = begin_span("test", name);
+  orphan.tag("rcode", [&] {
+    ++built;
+    return std::string("NOERROR");
+  });
+  EXPECT_FALSE(orphan.active());
+  EXPECT_FALSE(begin_root_span(nullptr, "test", name).active());
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(sink_.size(), 0u);
+
+  SpanRef root = begin_root_span(&sink_, "test", name);
+  AmbientSpanGuard ambient(root);
+  SpanRef child = begin_span("test", name);
+  child.tag("rcode", [&] {
+    ++built;
+    return std::string("NOERROR");
+  });
+  EXPECT_EQ(built, 3);
+  ASSERT_NE(sink_.find(child.id()), nullptr);
+  EXPECT_EQ(sink_.find(child.id())->name, "serve www.example.com");
+  EXPECT_EQ(*sink_.find(child.id())->tag("rcode"), "NOERROR");
+}
+
 TEST_F(TraceTest, SimTimeMonotonicity) {
   // Spans begun at successive sim times: ids (creation order) must carry
   // non-decreasing start stamps, and every finished span has end >= start.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dns/server.h"
+#include "dns/wire.h"
 #include "ran/handoff.h"
 #include "ran/profiles.h"
 #include "ran/segment.h"
@@ -189,6 +190,122 @@ TEST_F(SegmentTest, DnsTapFilterExcludesTraffic) {
                dns::RecordType::kA, [](const dns::StubResult&) {});
   sim_.run();
   EXPECT_EQ(tap.observed_queries(), 0u);
+}
+
+TEST_F(SegmentTest, DnsTapStartsANewTransactionWhenAnIdIsReused) {
+  // One transport wraps its 16-bit ids after 65535 lookups; the tap must
+  // not time a later lookup against an earlier one's query crossing.
+  const simnet::NodeId ue =
+      segment_->attach_ue("ue", Ipv4Address::must_parse("10.45.0.2"));
+  DnsTap tap(net_, segment_->pgw());
+  auto server = std::make_unique<dns::AuthoritativeServer>(
+      net_, server_node_, "auth", LatencyModel::constant(SimTime::millis(5)));
+  dns::Zone& zone = server->add_zone(dns::DnsName::must_parse("example.com"));
+  zone.must_add(dns::make_a(dns::DnsName::must_parse("www.example.com"),
+                            Ipv4Address::must_parse("198.18.0.1"), 60));
+  dns::StubResolver stub(net_, ue,
+                         Endpoint{Ipv4Address::must_parse("198.51.100.1"),
+                                  dns::kDnsPort});
+  const auto lookup = [&] {
+    stub.transport().set_next_id(4242);
+    dns::StubResult out;
+    stub.resolve(dns::DnsName::must_parse("www.example.com"),
+                 dns::RecordType::kA,
+                 [&](const dns::StubResult& result) { out = result; });
+    sim_.run();
+    return out;
+  };
+  const dns::StubResult first = lookup();
+  ASSERT_TRUE(first.ok);
+  const auto first_crossing = tap.crossing(4242, "www.example.com");
+  ASSERT_TRUE(first_crossing.has_value());
+
+  sim_.run_until(sim_.now() + SimTime::seconds(1));
+  const dns::StubResult second = lookup();
+  ASSERT_TRUE(second.ok);
+  ASSERT_EQ(second.response.header.id, 4242);
+  // Keys match case-insensitively, like every other DNS name comparison.
+  const auto crossing = tap.crossing(4242, "WWW.example.COM");
+  ASSERT_TRUE(crossing.has_value());
+  ASSERT_TRUE(crossing->has_query && crossing->has_response);
+  EXPECT_GT(crossing->query_seen, first_crossing->response_seen);
+  const double beyond_ms =
+      (crossing->response_seen - crossing->query_seen).to_millis();
+  EXPECT_NEAR(beyond_ms, 7.0, 0.5);
+  EXPECT_GE(second.latency.to_millis() - beyond_ms, 0.0);
+  EXPECT_EQ(tap.observed_queries(), 2u);
+  EXPECT_EQ(tap.observed_responses(), 2u);
+}
+
+/// The tap's header-only parse against the full decoder.
+TEST(DnsHeaderView, MatchesDecodeOnQueriesAndResponses) {
+  using dns::DnsName;
+  std::vector<dns::Message> corpus;
+  corpus.push_back(dns::make_query(1, DnsName::must_parse("www.example.com"),
+                                   dns::RecordType::kA));
+  // Mixed case, as DNS-0x20 sends it.
+  corpus.push_back(dns::make_query(
+      0xbeef, DnsName::must_parse("ViDeO.MeC-CdN.ExAmPlE"),
+      dns::RecordType::kAaaa));
+  dns::Message with_ecs = dns::make_query(
+      65535, DnsName::must_parse("cdn.example"), dns::RecordType::kA);
+  with_ecs.edns = dns::Edns{};
+  with_ecs.edns->client_subnet =
+      dns::ClientSubnet{Ipv4Address::must_parse("10.45.0.0"), 24, 0};
+  corpus.push_back(with_ecs);
+  // A response whose answers compress against the question name.
+  dns::Message response = dns::make_response(corpus.front());
+  response.answers.push_back(dns::make_cname(
+      DnsName::must_parse("www.example.com"),
+      DnsName::must_parse("edge.www.example.com"), 30));
+  response.answers.push_back(
+      dns::make_a(DnsName::must_parse("edge.www.example.com"),
+                  Ipv4Address::must_parse("198.18.0.9"), 30));
+  response.edns = dns::Edns{};
+  corpus.push_back(response);
+  corpus.push_back(dns::make_response(with_ecs, dns::RCode::kNxDomain));
+
+  for (const dns::Message& message : corpus) {
+    const std::vector<std::uint8_t> wire = dns::encode(message);
+    const auto decoded = dns::decode(wire);
+    ASSERT_TRUE(decoded.ok());
+    const auto view = read_dns_header(wire);
+    ASSERT_TRUE(view.has_value()) << message.question().to_string();
+    EXPECT_EQ(view->id, decoded.value().header.id);
+    EXPECT_EQ(view->qr, decoded.value().header.qr);
+    EXPECT_TRUE(view->qname.equals_exact(decoded.value().question().name))
+        << view->qname.to_string();
+  }
+}
+
+TEST(DnsHeaderView, IgnoresWhatItCannotReadInBounds) {
+  const std::vector<std::uint8_t> query = dns::encode(dns::make_query(
+      7, dns::DnsName::must_parse("www.example.com"), dns::RecordType::kA));
+  // Truncated header.
+  EXPECT_FALSE(read_dns_header({query.data(), 11}).has_value());
+  EXPECT_FALSE(read_dns_header({}).has_value());
+  // Header only: QDCOUNT says one question, the name is missing.
+  EXPECT_FALSE(read_dns_header({query.data(), 12}).has_value());
+  // Name cut inside a label, and before its root byte.
+  EXPECT_FALSE(read_dns_header({query.data(), 15}).has_value());
+  EXPECT_FALSE(read_dns_header({query.data(), query.size() - 5}).has_value());
+  // QDCOUNT zero.
+  dns::Message empty;
+  empty.header.id = 9;
+  const std::vector<std::uint8_t> no_question = dns::encode(empty);
+  EXPECT_FALSE(read_dns_header(no_question).has_value());
+  // A compression pointer as the first qname (pointing at itself).
+  std::vector<std::uint8_t> pointer(query.begin(), query.begin() + 12);
+  pointer.push_back(0xc0);
+  pointer.push_back(0x0c);
+  EXPECT_FALSE(read_dns_header(pointer).has_value());
+  // A label byte the decoder rejects (a space).
+  std::vector<std::uint8_t> bad_label(query.begin(), query.begin() + 12);
+  for (const char b : {'\3', 'a', ' ', 'c', '\0'}) {
+    bad_label.push_back(static_cast<std::uint8_t>(b));
+  }
+  EXPECT_FALSE(dns::decode(bad_label).ok());
+  EXPECT_FALSE(read_dns_header(bad_label).has_value());
 }
 
 TEST_F(SegmentTest, UserEquipmentFetchFailsCleanlyWithoutServers) {
